@@ -56,6 +56,8 @@
 // `#[allow(unsafe_code)]`; everything else stays safe Rust.
 #![deny(unsafe_code)]
 
+#[cfg(feature = "verify-shim")]
+pub mod engine;
 mod error;
 mod mpi;
 mod pool;
@@ -63,13 +65,9 @@ mod resource;
 mod runner;
 pub mod shim;
 mod sim;
-#[cfg(feature = "verify-shim")]
-pub mod simrt;
 mod supervise;
 mod trace;
 mod transport;
-#[cfg(feature = "verify-shim")]
-pub mod verify;
 
 pub use error::{BlockKind, BlockedOp, PlatformError, Result};
 pub use mpi::{

@@ -8,45 +8,27 @@
 //! codegen are unchanged.
 //!
 //! With the `verify-shim` cargo feature enabled, each operation first
-//! consults the two model engines in this crate:
-//!
-//! * the bounded model checker in [`crate::verify`] (DFS + sleep sets
-//!   over a fixed thread set, frozen clock), and
-//! * the seeded whole-system simulator in [`crate::simrt`] (one random
-//!   schedule per seed, dynamic threads, virtual clock).
-//!
-//! When the calling thread belongs to an active session of either
-//! engine the operation becomes a *schedule point* — the thread pauses,
-//! declares the operation it is about to perform, and waits for the
-//! controller to grant it. When no session is active (the common case
-//! even with the feature on), the cost is one relaxed load of a global
-//! counter per operation.
+//! consults the controlled-scheduler engine in [`crate::engine`], which
+//! backs both the exhaustive model checker and the seeded whole-system
+//! simulator. When the calling thread belongs to an active session the
+//! operation becomes a *schedule point* — the thread pauses, declares
+//! the operation it is about to perform, and waits for the controller
+//! to grant it. When no session is active (the common case even with
+//! the feature on), the cost is one relaxed load of a global counter
+//! per operation.
 //!
 //! The module also centralizes the *time source* ([`now`]): real runs
 //! read the monotonic clock once per blocking slice and reuse it for
-//! both the supervision deadline and progress accounting; `verify`
-//! sessions observe a frozen clock so park timeouts can never fire
-//! inside an exploration; `simrt` sessions observe a virtual clock that
-//! advances only when every simulated thread is blocked on a deadline.
+//! both the supervision deadline and progress accounting; sessions
+//! observe the engine's clock — frozen under exhaustive exploration, so
+//! park timeouts can never fire, and virtual under simulation, where it
+//! advances only when every thread is blocked on a deadline.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "verify-shim")]
-use crate::simrt;
-#[cfg(feature = "verify-shim")]
-use crate::verify;
-
-#[cfg(feature = "verify-shim")]
-#[inline]
-fn object_id(label: &'static str) -> usize {
-    // At most one engine has a session on the calling thread; ids are
-    // per-session, so the namespaces never mix.
-    if let Some(id) = simrt::next_object_id(label) {
-        return id;
-    }
-    verify::next_object_id(label)
-}
+use crate::engine::{self, Op};
 
 /// A `usize` atomic that doubles as a model-checker schedule point.
 ///
@@ -69,7 +51,7 @@ impl AtomicUsize {
         Self {
             inner: std::sync::atomic::AtomicUsize::new(v),
             #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::next_object_id(label),
         }
     }
 
@@ -83,10 +65,7 @@ impl AtomicUsize {
     #[inline]
     pub fn load(&self, order: Ordering) -> usize {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_load(self.id);
-            verify::op_load(self.id);
-        }
+        engine::schedule(Op::Load(self.id));
         self.inner.load(order)
     }
 
@@ -94,10 +73,7 @@ impl AtomicUsize {
     #[inline]
     pub fn store(&self, v: usize, order: Ordering) {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_store(self.id);
-            verify::op_store(self.id);
-        }
+        engine::schedule(Op::Store(self.id));
         self.inner.store(v, order);
     }
 
@@ -112,10 +88,7 @@ impl AtomicUsize {
         failure: Ordering,
     ) -> Result<usize, usize> {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_rmw(self.id);
-            verify::op_rmw(self.id);
-        }
+        engine::schedule(Op::Rmw(self.id));
         self.inner
             .compare_exchange_weak(current, new, success, failure)
     }
@@ -139,7 +112,7 @@ impl AtomicBool {
         Self {
             inner: std::sync::atomic::AtomicBool::new(v),
             #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::next_object_id(label),
         }
     }
 
@@ -153,10 +126,7 @@ impl AtomicBool {
     #[inline]
     pub fn load(&self, order: Ordering) -> bool {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_load(self.id);
-            verify::op_load(self.id);
-        }
+        engine::schedule(Op::Load(self.id));
         self.inner.load(order)
     }
 
@@ -164,10 +134,7 @@ impl AtomicBool {
     #[inline]
     pub fn store(&self, v: bool, order: Ordering) {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_store(self.id);
-            verify::op_store(self.id);
-        }
+        engine::schedule(Op::Store(self.id));
         self.inner.store(v, order);
     }
 
@@ -176,10 +143,7 @@ impl AtomicBool {
     #[inline]
     pub fn swap(&self, v: bool, order: Ordering) -> bool {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_rmw(self.id);
-            verify::op_rmw(self.id);
-        }
+        engine::schedule(Op::Rmw(self.id));
         self.inner.swap(v, order)
     }
 }
@@ -211,7 +175,7 @@ impl<T> Mutex<T> {
         Self {
             inner: std::sync::Mutex::new(value),
             #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::next_object_id(label),
         }
     }
 
@@ -226,10 +190,7 @@ impl<T> Mutex<T> {
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_lock(self.id);
-            verify::op_lock(self.id);
-        }
+        engine::schedule(Op::Lock(self.id));
         MutexGuard {
             inner: Some(self.inner.lock().expect("shim mutex poisoned")),
             lock: self,
@@ -270,10 +231,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         // reaches its next schedule point — by which time the real
         // guard below is gone.
         #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_unlock(self.lock.id);
-            verify::op_unlock(self.lock.id);
-        }
+        engine::schedule(Op::Unlock(self.lock.id));
         self.inner.take();
     }
 }
@@ -281,7 +239,7 @@ impl<T> Drop for MutexGuard<'_, T> {
 /// A condition variable whose wait/notify are model schedule points.
 ///
 /// Mirrors the subset of [`std::sync::Condvar`] the transports use.
-/// Under a `simrt` session the wait is virtual: the deadline is a
+/// Under a session the wait is modeled: the deadline is a
 /// virtual-clock instant and the simulated clock only advances to it
 /// when no other simulated thread can run.
 #[derive(Debug)]
@@ -306,7 +264,7 @@ impl Condvar {
         Self {
             inner: std::sync::Condvar::new(),
             #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::next_object_id(label),
         }
     }
 
@@ -320,7 +278,10 @@ impl Condvar {
     #[inline]
     pub fn notify_one(&self) {
         #[cfg(feature = "verify-shim")]
-        if simrt::op_cv_notify(self.id, false) {
+        if engine::schedule(Op::CvNotify {
+            cv: self.id,
+            all: false,
+        }) {
             return;
         }
         self.inner.notify_one();
@@ -330,7 +291,10 @@ impl Condvar {
     #[inline]
     pub fn notify_all(&self) {
         #[cfg(feature = "verify-shim")]
-        if simrt::op_cv_notify(self.id, true) {
+        if engine::schedule(Op::CvNotify {
+            cv: self.id,
+            all: true,
+        }) {
             return;
         }
         self.inner.notify_all();
@@ -362,18 +326,18 @@ impl Condvar {
         let lock = guard.lock;
         // Take the inner std guard out without running the shim guard's
         // Drop (which would declare a spurious model unlock — under a
-        // sim session the release is part of the CvWait declaration).
+        // session the release is part of the CvWait declaration).
         let mut g = std::mem::ManuallyDrop::new(guard);
         let inner = g.inner.take().expect("guard taken");
         #[cfg(feature = "verify-shim")]
-        if simrt::in_session() {
+        if engine::in_session() {
             // Modeled wait: atomically (from the model's view, at the
             // CvWait declaration) release the mutex and enqueue on the
             // condvar; the real guard is dropped first so the real
             // mutex is free for whichever thread the controller grants
             // next.
             drop(inner);
-            let timed_out = simrt::op_cv_wait(self.id, lock.id, dur);
+            let timed_out = engine::cv_wait(self.id, lock.id, dur);
             return (lock.lock(), timed_out);
         }
         match dur {
@@ -405,14 +369,12 @@ impl Condvar {
 }
 
 /// Identity of a thread as seen by the wait list (OS thread id in real
-/// runs, model thread index under a model session).
+/// runs, plus the engine thread index under a session).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadIdent {
     os: std::thread::ThreadId,
     #[cfg(feature = "verify-shim")]
-    model: Option<usize>,
-    #[cfg(feature = "verify-shim")]
-    sim: Option<usize>,
+    tid: Option<usize>,
 }
 
 /// A parkable thread handle (the shim analogue of
@@ -421,9 +383,7 @@ pub struct ThreadIdent {
 pub struct ThreadHandle {
     os: std::thread::Thread,
     #[cfg(feature = "verify-shim")]
-    model: Option<usize>,
-    #[cfg(feature = "verify-shim")]
-    sim: Option<usize>,
+    tid: Option<usize>,
 }
 
 impl ThreadHandle {
@@ -433,9 +393,7 @@ impl ThreadHandle {
         ThreadIdent {
             os: self.os.id(),
             #[cfg(feature = "verify-shim")]
-            model: self.model,
-            #[cfg(feature = "verify-shim")]
-            sim: self.sim,
+            tid: self.tid,
         }
     }
 
@@ -445,17 +403,8 @@ impl ThreadHandle {
     #[inline]
     pub fn unpark(&self) {
         #[cfg(feature = "verify-shim")]
-        {
-            if let Some(tid) = self.sim {
-                if simrt::op_unpark(tid) {
-                    return;
-                }
-            }
-            if let Some(tid) = self.model {
-                if verify::op_unpark(tid) {
-                    return;
-                }
-            }
+        if self.tid.is_some_and(|t| engine::schedule(Op::Unpark(t))) {
+            return;
         }
         self.os.unpark();
     }
@@ -467,59 +416,49 @@ pub fn current() -> ThreadHandle {
     ThreadHandle {
         os: std::thread::current(),
         #[cfg(feature = "verify-shim")]
-        model: verify::worker_tid(),
-        #[cfg(feature = "verify-shim")]
-        sim: simrt::worker_tid(),
+        tid: engine::worker_tid(),
     }
 }
 
 /// Blocks the calling thread until a park token is available or the
-/// timeout elapses. Under `verify` the timeout *never* fires (the
-/// session clock is frozen), so a wakeup that production code would
-/// paper over with its bounded park slice becomes an observable
-/// deadlock in the explorer. Under `simrt` the timeout is a virtual
-/// deadline: it fires only when the whole simulation is otherwise
-/// blocked (and never fires in strict-park mode).
+/// timeout elapses. Under exhaustive exploration the timeout *never*
+/// fires (the session clock is frozen), so a wakeup that production
+/// code would paper over with its bounded park slice becomes an
+/// observable deadlock. Under simulation the timeout is a virtual
+/// deadline: it fires only when the whole system is otherwise blocked
+/// (and never fires in strict-park mode).
 #[inline]
 pub fn park_timeout(dur: Duration) {
     #[cfg(feature = "verify-shim")]
-    {
-        if simrt::op_park(Some(dur)) {
-            return;
-        }
-        if verify::op_park() {
-            return;
-        }
+    if engine::schedule(Op::Park {
+        deadline: Some(dur),
+    }) {
+        return;
     }
     std::thread::park_timeout(dur);
 }
 
-/// Suspends the calling thread for `dur`. Under a `simrt` session this
-/// is a virtual-clock sleep (a schedule point with a deadline); in real
+/// Suspends the calling thread for `dur`. Under a session this is a
+/// session-clock sleep (a schedule point with a deadline); in real
 /// runs it is exactly [`std::thread::sleep`].
 #[inline]
 pub fn sleep(dur: Duration) {
     #[cfg(feature = "verify-shim")]
-    if simrt::op_sleep(dur) {
+    if engine::schedule(Op::Sleep { until: dur }) {
         return;
     }
     std::thread::sleep(dur);
 }
 
 /// Reads the transport time source. Real runs read the monotonic
-/// clock; under a `verify` session every call returns the session
-/// epoch (frozen), and under a `simrt` session the session epoch plus
-/// the current virtual offset.
+/// clock; under a session every call returns the session epoch plus
+/// the current virtual offset (always zero under exhaustive
+/// exploration, whose clock is frozen).
 #[inline]
 pub fn now() -> Instant {
     #[cfg(feature = "verify-shim")]
-    {
-        if let Some(t) = simrt::virtual_now() {
-            return t;
-        }
-        if let Some(t) = verify::frozen_now() {
-            return t;
-        }
+    if let Some(t) = engine::now() {
+        return t;
     }
     Instant::now()
 }
@@ -530,25 +469,25 @@ pub fn now() -> Instant {
 #[inline]
 pub fn spin_budget(real: u32) -> u32 {
     #[cfg(feature = "verify-shim")]
-    if verify::in_session() || simrt::in_session() {
+    if engine::in_session() {
         return 0;
     }
     real
 }
 
 /// Spawns a detached background thread (the socket transport's ack
-/// reader, deadline flusher and receive pump). Under a `simrt` session
-/// the thread is registered as a simulated thread: its every shim
+/// reader, deadline flusher and receive pump). Under a session the
+/// thread is registered as an engine thread: its every shim
 /// operation becomes a schedule point and the run does not complete
 /// until it exits — a background thread that never terminates surfaces
 /// as a simulated hang instead of a leaked OS thread.
 pub fn spawn(name: &'static str, f: impl FnOnce() + Send + 'static) {
     #[cfg(feature = "verify-shim")]
-    if let Some(sess) = simrt::session_handle() {
-        let tid = simrt::register_child(&sess, name.to_string());
+    if let Some(sess) = engine::session_handle() {
+        let tid = sess.register(name.to_string());
         std::thread::Builder::new()
             .name(name.to_string())
-            .spawn(move || simrt::child_main(sess, tid, f))
+            .spawn(move || engine::child_main(sess, tid, f))
             .expect("spawn shim thread");
         return;
     }
@@ -559,7 +498,7 @@ pub fn spawn(name: &'static str, f: impl FnOnce() + Send + 'static) {
 }
 
 /// Model-aware [`std::thread::scope`]: threads spawned through the
-/// [`Scope`] become simulated threads under a `simrt` session, and the
+/// [`Scope`] become engine threads under a session, and the
 /// implicit joins at scope exit are modeled as explicit join schedule
 /// points (so the controller never sees the scope owner silently block
 /// in a real join).
@@ -571,20 +510,18 @@ where
         let wrapper = Scope {
             inner: s,
             #[cfg(feature = "verify-shim")]
-            sim: simrt::session_handle(),
+            session: engine::session_handle(),
             #[cfg(feature = "verify-shim")]
             children: std::cell::RefCell::new(Vec::new()),
         };
         let out = f(&wrapper);
         // Model the joins std::thread::scope is about to perform: each
-        // is a schedule point enabled once the child's simulated thread
+        // is a schedule point enabled once the child's engine thread
         // has finished (after which its real exit is imminent, so the
         // real join below blocks only momentarily).
         #[cfg(feature = "verify-shim")]
-        if wrapper.sim.is_some() {
-            for tid in wrapper.children.borrow().iter() {
-                simrt::op_join(*tid);
-            }
+        for tid in wrapper.children.borrow().iter() {
+            engine::schedule(Op::Join(*tid));
         }
         out
     })
@@ -592,12 +529,12 @@ where
 
 /// Spawn handle collection for [`scope`]. Only the closure-spawning
 /// subset of [`std::thread::Scope`] the runners use is mirrored; under
-/// a sim session spawning from any thread but the scope owner is not
+/// a session spawning from any thread but the scope owner is not
 /// supported (the child registry is single-threaded).
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
     #[cfg(feature = "verify-shim")]
-    sim: Option<simrt::SessionHandle>,
+    session: Option<engine::SessionHandle>,
     #[cfg(feature = "verify-shim")]
     children: std::cell::RefCell<Vec<usize>>,
 }
@@ -610,13 +547,13 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         F: FnOnce() + Send + 'scope,
     {
         #[cfg(feature = "verify-shim")]
-        if let Some(sess) = &self.sim {
-            let tid = simrt::register_child(sess, name.clone());
+        if let Some(sess) = &self.session {
+            let tid = sess.register(name.clone());
             self.children.borrow_mut().push(tid);
             let sess = sess.clone();
             std::thread::Builder::new()
                 .name(name)
-                .spawn_scoped(self.inner, move || simrt::child_main(sess, tid, f))
+                .spawn_scoped(self.inner, move || engine::child_main(sess, tid, f))
                 .expect("spawn scoped shim thread");
             return;
         }

@@ -22,10 +22,10 @@
 //! witness-minimization machinery) reduces it to a minimal
 //! context-switch story before reporting.
 //!
-//! The engine itself lives in [`spi_platform::simrt`] behind the
-//! `verify-shim` feature — the same instrumentation seam the `spi-verify`
-//! bounded model checker uses, so any code the checker can explore, the
-//! simulator can run at whole-system scale. This crate packages it with
+//! The engine itself is [`spi_platform::engine`] behind the `verify-shim`
+//! feature — the same controlled-scheduler engine the `spi-verify`
+//! bounded model checker runs on, so any code the checker can explore,
+//! the simulator can run at whole-system scale. This crate packages it with
 //! the pieces a whole-system test needs: the in-memory [`SimStream`]
 //! socket, ready-made [`scenarios`], and the seed/replay/report
 //! [`harness`](crate::check).
@@ -33,8 +33,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub use spi_platform::simrt::{replay, run, shrink, SimFailure, SimOptions, SimRun};
-pub use spi_platform::verify::{FailureKind, Step};
+pub use spi_platform::engine::{
+    replay, run, shrink, Failure, FailureKind, SimOptions, SimRun, Step,
+};
 
 mod stream;
 pub use stream::{sim_stream_pair, SimStream};

@@ -114,7 +114,7 @@ fn fixed_ring_never_deadlocks_under_strict_park() {
 #[test]
 fn failing_run_reports_seed_and_shrinks() {
     // End-to-end failure path: a scenario that always panics must
-    // produce a SimFailure whose report carries the replay seed line.
+    // produce a Failure whose report carries the replay seed line.
     let opts = SimOptions::seeded(5);
     let r = run(&opts, || {
         spi_platform::shim::scope(|s| {

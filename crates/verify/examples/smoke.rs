@@ -9,7 +9,6 @@ fn main() {
         .unwrap_or(0);
     let opts = ModelOptions {
         max_schedules: 500_000,
-        ..Default::default()
     };
     let t = Instant::now();
     let (name, ex) = match which {

@@ -3,8 +3,8 @@
 //! Three connected engines that check the places where the SPI
 //! reproduction is most exposed to ordering bugs:
 //!
-//! 1. **Bounded model checking** ([`ring`], engine in
-//!    [`spi_platform::verify`]) — a loom-style stateless explorer that
+//! 1. **Bounded model checking** ([`ring`], on the controlled-scheduler
+//!    engine in [`spi_platform::engine`]) — a loom-style stateless explorer that
 //!    enumerates every thread interleaving (up to happens-before
 //!    equivalence, via DFS with sleep-set pruning) of the
 //!    [`RingTransport`](spi_platform::RingTransport) ring + waitlist
@@ -42,6 +42,7 @@ pub mod ring;
 pub use framing::{explore_framing, FramingExploration, FramingOptions, FramingViolation};
 pub use race::{race_check, RaceReport};
 pub use ring::{explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc};
-pub use spi_platform::verify::{
-    explore, Exploration, Failure, FailureKind, ModelOptions, Scenario, Step,
+pub use spi_platform::engine::{
+    explore, replay_scenario, Exploration, Failure, FailureKind, ModelOptions, Scenario, SimRun,
+    Step,
 };

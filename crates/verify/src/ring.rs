@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use spi_platform::verify::{explore, Exploration, ModelOptions};
+use spi_platform::engine::{explore, Exploration, ModelOptions, Scenario};
 use spi_platform::{PointerTransport, RingTransport, Transport};
 
 /// Far beyond any exploration: the model clock is frozen, so this
@@ -113,7 +113,14 @@ pub fn explore_pointer_spsc(messages: usize, slots: usize, opts: &ModelOptions) 
 /// the pre-PR 3 wake-all-with-dequeue behavior and the exploration
 /// must report a deadlock; with the shipped fix it must not.
 pub fn explore_ring_shared_consumers(reverted_wakeup: bool, opts: &ModelOptions) -> Exploration {
-    explore(opts, move |sc| {
+    explore(opts, shared_consumers(reverted_wakeup))
+}
+
+/// The scenario behind [`explore_ring_shared_consumers`] (threads
+/// `producer`, `consumer-1`, `consumer-2`), for replaying its witness
+/// schedule with [`replay_scenario`](crate::replay_scenario).
+pub fn shared_consumers(reverted_wakeup: bool) -> impl Fn(&mut Scenario) {
+    move |sc| {
         let ring = Arc::new(if reverted_wakeup {
             RingTransport::new_with_reverted_wakeup(4, 4)
         } else {
@@ -132,5 +139,5 @@ pub fn explore_ring_shared_consumers(reverted_wakeup: bool, opts: &ModelOptions)
                 c.recv_with(&mut |_| {}, NEVER).expect("model recv");
             });
         }
-    })
+    }
 }

@@ -20,9 +20,10 @@
 //!    interleaving trace — the regression oracle.
 
 use spi_verify::{
-    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc, FailureKind,
-    ModelOptions,
+    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc, replay_scenario,
+    ring::shared_consumers, Exploration, Failure, FailureKind, ModelOptions,
 };
+use std::sync::OnceLock;
 
 /// Anti-vacuity floor for the tier-1 SPSC exploration. The committed
 /// baseline at (messages = 2, slots = 1) is 2461 distinct schedules
@@ -148,7 +149,6 @@ fn shared_consumers_clean_with_shipped_waitlist() {
     // schedules, so a 10k-run budget is deep enough to be meaningful.
     let opts = ModelOptions {
         max_schedules: 10_000,
-        ..ModelOptions::default()
     };
     let ex = explore_ring_shared_consumers(false, &opts);
     if let Some(f) = &ex.failure {
@@ -156,11 +156,19 @@ fn shared_consumers_clean_with_shipped_waitlist() {
     }
 }
 
+/// The reverted-wakeup exploration, the slowest of the suite, run once
+/// and shared by the two tests that need its witness.
+fn reverted_wakeup_exploration() -> &'static Exploration {
+    static EXPLORATION: OnceLock<Exploration> = OnceLock::new();
+    EXPLORATION.get_or_init(|| explore_ring_shared_consumers(true, &ModelOptions::default()))
+}
+
 #[test]
 fn reverted_wakeup_rediscovers_pr3_lost_wakeup() {
-    let ex = explore_ring_shared_consumers(true, &ModelOptions::default());
+    let ex = reverted_wakeup_exploration();
     let failure = ex
         .failure
+        .as_ref()
         .expect("explorer must rediscover the PR 3 lost-wakeup deadlock");
     match &failure.kind {
         FailureKind::Deadlock { blocked } => {
@@ -178,4 +186,32 @@ fn reverted_wakeup_rediscovers_pr3_lost_wakeup() {
     // The minimized witness is part of the oracle's value: print it so
     // `cargo test -- --nocapture` shows the exact schedule.
     println!("minimized lost-wakeup witness:\n{failure}");
+}
+
+/// A model-checker witness is an ordinary engine schedule: replaying it
+/// under the replay strategy (frozen clock, same scenario) reproduces
+/// the same deadlock at the same step, with the same interleaving.
+#[test]
+fn witness_schedule_replays_through_the_engine() {
+    let ex = reverted_wakeup_exploration();
+    let witness = ex.failure.as_ref().expect("reverted ring must deadlock");
+    let run = replay_scenario(&witness.schedule, shared_consumers(true));
+    let failure = run.failure.expect("witness replay must fail again");
+    match &failure.kind {
+        FailureKind::Deadlock { blocked } => assert!(
+            blocked.iter().any(|b| b.contains("consumer")),
+            "replayed deadlock should strand a consumer, got {blocked:?}"
+        ),
+        other => panic!("expected a deadlock, found {other:?}\n{failure}"),
+    }
+    assert_eq!(run.steps, witness.schedule.len(), "replay step count");
+    assert_eq!(failure.schedule, witness.schedule, "replayed schedule");
+    assert_eq!(failure.context_switches, witness.context_switches);
+    let ops = |f: &Failure| -> Vec<String> {
+        f.trace
+            .iter()
+            .map(|s| format!("[{}] {}", s.thread, s.op))
+            .collect()
+    };
+    assert_eq!(ops(&failure), ops(witness), "replayed interleaving");
 }

@@ -65,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the same schedule budget the bug was found under.
     let budget = ModelOptions {
         max_schedules: 10_000,
-        ..ModelOptions::default()
     };
     let clean = explore_ring_shared_consumers(false, &budget);
     if let Some(f) = &clean.failure {
