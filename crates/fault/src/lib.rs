@@ -288,6 +288,11 @@ impl FaultPlan {
 /// A [`Transport`] decorator that fires planned faults on blocking
 /// sends, indexed by the per-channel send-call count. Receives and
 /// non-blocking sends pass straight through to the wrapped transport.
+///
+/// The hooks sit on `send`, `send_with` and `send_token`; an in-place
+/// send reaches `send` through the trait's provided `send_in_place`,
+/// which materializes the frame first — a fault injector is not a
+/// zero-copy fast path.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     channel: ChannelId,
@@ -318,24 +323,12 @@ impl Transport for FaultyTransport {
         self.inner.max_message_bytes()
     }
 
-    fn len_bytes(&self) -> usize {
-        self.inner.len_bytes()
-    }
-
-    fn occupancy(&self) -> usize {
-        self.inner.occupancy()
-    }
-
     fn snapshot(&self) -> (usize, usize) {
         self.inner.snapshot()
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
         self.inner.try_send(data)
-    }
-
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.inner.try_recv()
     }
 
     fn send(&self, data: &[u8], timeout: Duration) -> Result<(), TransportError> {
@@ -399,20 +392,6 @@ impl Transport for FaultyTransport {
         timeout: Duration,
     ) -> Result<(), TransportError> {
         self.inner.recv_with(consume, timeout)
-    }
-
-    fn send_in_place(
-        &self,
-        max_len: usize,
-        frame: &mut dyn FnMut(&mut [u8]) -> usize,
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        // Materialize the frame so the fault logic in `send` sees the
-        // bytes; a fault injector is not a zero-copy fast path.
-        let mut buf = vec![0u8; max_len];
-        let n = frame(&mut buf).min(max_len);
-        buf.truncate(n);
-        self.send(&buf, timeout)
     }
 
     fn send_token(&self, mut token: Token, timeout: Duration) -> Result<(), TransportError> {

@@ -21,6 +21,20 @@ pub enum NetError {
     /// A platform channel belongs to no edge plan, so its endpoints
     /// cannot be placed (builder invariant violation).
     UncoveredChannel(usize),
+    /// A processor's program sends or receives on a channel whose
+    /// [`crate::ChannelRole`] gives that end to another processor: no
+    /// node could serve the operation, so [`crate::deploy`] rejects the
+    /// program before any endpoint exists.
+    Misrouted {
+        /// The processor whose program names the channel.
+        proc: usize,
+        /// The misused channel.
+        channel: usize,
+        /// The processor that owns that end of the channel.
+        owner: usize,
+        /// Whether the misused end is the sending one.
+        send: bool,
+    },
     /// A worker's locally built deployment disagrees with the
     /// launcher's manifest — the build is not deterministic across
     /// processes, and running would silently desynchronise.
@@ -57,6 +71,16 @@ impl fmt::Display for NetError {
                     "channel {ch} belongs to no edge plan; cannot place endpoints"
                 )
             }
+            NetError::Misrouted {
+                proc,
+                channel,
+                owner,
+                send,
+            } => write!(
+                f,
+                "processor {proc} {} channel {channel}, whose end belongs to processor {owner}",
+                if *send { "sends on" } else { "receives from" }
+            ),
             NetError::ManifestMismatch(what) => {
                 write!(f, "worker build disagrees with launcher manifest: {what}")
             }

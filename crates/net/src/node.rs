@@ -8,9 +8,13 @@
 //! * per channel, an endpoint matching where the channel's two ends
 //!   live — an in-memory transport when both are local, a socket
 //!   endpoint ([`NetSender`] / [`NetReceiver`]) when the edge crosses
-//!   the partition, and a poisoned placeholder when the channel does
-//!   not touch this node at all (any use is a routing bug and fails
-//!   loudly rather than silently exchanging data with nobody).
+//!   the partition, and an idle, empty [`LockedTransport`] when the
+//!   channel does not touch this node at all.
+//!
+//! No local program can touch such an idle channel: [`deploy`] checks
+//! every program's sends and receives against the channel roles and
+//! rejects a misrouted one with [`NetError::Misrouted`], so a routing
+//! bug fails before any process starts rather than at run time.
 //!
 //! Socket establishment is deadlock-free by construction: every node
 //! binds **all** of its listeners before the launcher's barrier, and
@@ -18,11 +22,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use spi::SpiSystem;
 use spi_platform::{
-    framed_spec, ChannelId, ChannelSpec, PeId, Program, Tracer, Transport, TransportError,
+    framed_spec, ChannelId, ChannelSpec, LockedTransport, Op, PeId, Program, Tracer, Transport,
     TransportKind,
 };
 use spi_sched::{Partition, ProcId};
@@ -69,7 +72,9 @@ pub struct Deployment {
 ///
 /// [`NetError::Unpartitioned`] when the system was built without a
 /// partition; [`NetError::UncoveredChannel`] if a platform channel
-/// belongs to no edge plan (a builder invariant violation).
+/// belongs to no edge plan (a builder invariant violation);
+/// [`NetError::Misrouted`] if a program sends or receives on a channel
+/// end that another processor owns.
 pub fn deploy(system: SpiSystem) -> Result<Deployment, NetError> {
     let partition = system.partition().cloned().ok_or(NetError::Unpartitioned)?;
     let mut role_of: Vec<Option<ChannelRole>> = Vec::new();
@@ -123,6 +128,7 @@ pub fn deploy(system: SpiSystem) -> Result<Deployment, NetError> {
         partition.node_of(role.sender)?;
         partition.node_of(role.receiver)?;
     }
+    check_routes(&roles, &programs)?;
     let mut batches = batch_of;
     batches.resize(specs.len(), BatchParams::disabled());
     Ok(Deployment {
@@ -132,6 +138,35 @@ pub fn deploy(system: SpiSystem) -> Result<Deployment, NetError> {
         batches,
         programs,
     })
+}
+
+/// Checks that every channel a program names is one whose matching
+/// end belongs to that program's processor (`programs` is indexed by
+/// `ProcId`), so each send and receive lands on an endpoint its node
+/// actually hosts.
+fn check_routes(roles: &[ChannelRole], programs: &[Program]) -> Result<(), NetError> {
+    for (proc, program) in programs.iter().enumerate() {
+        for op in program.prologue.iter().chain(&program.ops) {
+            let (channel, send) = match op {
+                Op::Send { channel, .. } => (channel.0, true),
+                Op::Recv { channel } => (channel.0, false),
+                _ => continue,
+            };
+            let role = roles
+                .get(channel)
+                .ok_or(NetError::UncoveredChannel(channel))?;
+            let owner = if send { role.sender } else { role.receiver };
+            if owner.0 != proc {
+                return Err(NetError::Misrouted {
+                    proc,
+                    channel,
+                    owner: owner.0,
+                    send,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Deployment {
@@ -237,11 +272,13 @@ pub fn build_endpoints(
             }
             (true, true) => Some(local_kind.instantiate(&eff[ch])),
             (false, true) => slots[ch].take(), // bound above
-            (false, false) => Some(Box::new(UnmappedChannel {
-                spec: eff[ch],
-                channel: ch,
-                node,
-            })),
+            // Both ends live elsewhere, and `deploy` has proven that no
+            // local program touches the channel: an idle queue, which
+            // allocates nothing while empty, fills the slot.
+            (false, false) => Some(Box::new(LockedTransport::new(
+                eff[ch].capacity_bytes,
+                eff[ch].max_message_bytes,
+            ))),
         };
     }
     Ok(slots
@@ -250,58 +287,56 @@ pub fn build_endpoints(
         .collect())
 }
 
-/// Placeholder endpoint for a channel whose two ends both live on other
-/// nodes. The accessors answer honestly (deadlock reports may consult
-/// them); any data operation is a routing bug and panics with the
-/// channel id.
-struct UnmappedChannel {
-    spec: ChannelSpec,
-    channel: usize,
-    node: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl UnmappedChannel {
-    fn misroute(&self) -> ! {
-        panic!(
-            "channel {} is not mapped to node {}: both endpoints live elsewhere, \
-             yet a local program touched it (partition/program mismatch)",
-            self.channel, self.node
+    #[test]
+    fn route_check_rejects_ops_on_another_processors_channel_end() {
+        // One channel, sent by processor 0 and received by processor 1.
+        let roles = [ChannelRole {
+            sender: ProcId(0),
+            receiver: ProcId(1),
+        }];
+        let send = || Op::Send {
+            channel: ChannelId(0),
+            payload: Box::new(|_| vec![1]),
+        };
+        let recv = || Op::Recv {
+            channel: ChannelId(0),
+        };
+        let run = |p0: Vec<Op>, p1: Vec<Op>| {
+            check_routes(&roles, &[Program::new(p0, 1), Program::new(p1, 1)])
+        };
+        run(vec![send()], vec![recv()]).expect("programs match their roles");
+        // Processor 1 also sends on the channel whose sending end is
+        // processor 0's.
+        let err = run(vec![send()], vec![recv(), send()]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::Misrouted {
+                    proc: 1,
+                    channel: 0,
+                    owner: 0,
+                    send: true
+                }
+            ),
+            "{err}"
         );
-    }
-}
-
-impl Transport for UnmappedChannel {
-    fn capacity_bytes(&self) -> usize {
-        self.spec.capacity_bytes
-    }
-    fn max_message_bytes(&self) -> usize {
-        self.spec.max_message_bytes
-    }
-    fn len_bytes(&self) -> usize {
-        0
-    }
-    fn occupancy(&self) -> usize {
-        0
-    }
-    fn try_send(&self, _data: &[u8]) -> Result<(), TransportError> {
-        self.misroute()
-    }
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.misroute()
-    }
-    fn send_with(
-        &self,
-        _len: usize,
-        _fill: &mut dyn FnMut(&mut [u8]),
-        _timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.misroute()
-    }
-    fn recv_with(
-        &self,
-        _consume: &mut dyn FnMut(&[u8]),
-        _timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.misroute()
+        assert_eq!(
+            err.to_string(),
+            "processor 1 sends on channel 0, whose end belongs to processor 0"
+        );
+        let err = run(vec![send(), recv()], vec![]).unwrap_err();
+        assert!(matches!(
+            err,
+            NetError::Misrouted {
+                proc: 0,
+                owner: 1,
+                send: false,
+                ..
+            }
+        ));
     }
 }

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use spi_platform::shim::{self, AtomicBool, Condvar, Mutex};
 use spi_platform::{
-    ChannelId, ChannelSpec, FlushReason, PeId, ProbeKind, Tracer, Transport, TransportError,
+    ChannelId, ChannelSpec, FlushReason, PeId, ProbeKind, Token, Tracer, Transport, TransportError,
 };
 
 use crate::stream::NetStream;
@@ -501,15 +501,6 @@ impl<S: NetStream> Transport for NetSender<S> {
         self.shared.max_msg
     }
 
-    fn len_bytes(&self) -> usize {
-        let st = self.shared.state.lock();
-        self.shared.capacity - st.credits
-    }
-
-    fn occupancy(&self) -> usize {
-        self.shared.state.lock().in_flight_msgs
-    }
-
     fn snapshot(&self) -> (usize, usize) {
         let st = self.shared.state.lock();
         (self.shared.capacity - st.credits, st.in_flight_msgs)
@@ -527,8 +518,15 @@ impl<S: NetStream> Transport for NetSender<S> {
         })
     }
 
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        unreachable!("receive on the sending endpoint of a network channel")
+    /// The sending endpoint has nothing to receive: always empty.
+    fn try_recv_token(&self) -> Result<Token, TransportError> {
+        Err(TransportError::Empty)
+    }
+
+    /// The sending endpoint has nothing to receive: fails fast with
+    /// the closed-channel error.
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
+        Err(closed_err(timeout, shim::now()))
     }
 
     fn send_with(
@@ -619,14 +617,6 @@ impl<S: NetStream> Transport for NetSender<S> {
             }
         }
         Ok(())
-    }
-
-    fn recv_with(
-        &self,
-        _consume: &mut dyn FnMut(&[u8]),
-        _timeout: Duration,
-    ) -> Result<(), TransportError> {
-        unreachable!("receive on the sending endpoint of a network channel")
     }
 }
 
@@ -894,24 +884,17 @@ impl<S: NetStream> Transport for NetReceiver<S> {
         self.shared.max_msg
     }
 
-    fn len_bytes(&self) -> usize {
-        self.shared.state.lock().queued_bytes
-    }
-
-    fn occupancy(&self) -> usize {
-        self.shared.state.lock().queue.len()
-    }
-
     fn snapshot(&self) -> (usize, usize) {
         let st = self.shared.state.lock();
         (st.queued_bytes, st.queue.len())
     }
 
+    /// The receiving endpoint has no room to send into: always full.
     fn try_send(&self, _data: &[u8]) -> Result<(), TransportError> {
-        unreachable!("send on the receiving endpoint of a network channel")
+        Err(TransportError::Full)
     }
 
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
+    fn try_recv_token(&self) -> Result<Token, TransportError> {
         let (msg, due) = {
             let mut st = self.shared.state.lock();
             match st.queue.pop_front() {
@@ -935,23 +918,21 @@ impl<S: NetStream> Transport for NetReceiver<S> {
         if let Some((b, n)) = due {
             self.ack(b, n, 0);
         }
-        Ok(msg)
+        Ok(Token::Owned(msg))
     }
 
+    /// The receiving endpoint cannot send: fails fast with the
+    /// closed-channel error.
     fn send_with(
         &self,
         _len: usize,
         _fill: &mut dyn FnMut(&mut [u8]),
-        _timeout: Duration,
-    ) -> Result<(), TransportError> {
-        unreachable!("send on the receiving endpoint of a network channel")
-    }
-
-    fn recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
+        Err(closed_err(timeout, shim::now()))
+    }
+
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
         let start = shim::now();
         let deadline = start + timeout;
         let mut seen_arrivals: Option<u64> = None;
@@ -991,11 +972,10 @@ impl<S: NetStream> Transport for NetReceiver<S> {
             st = guard;
         };
         drop(st);
-        consume(&msg);
         if let Some((b, n)) = due {
             self.ack(b, n, 0);
         }
-        Ok(())
+        Ok(Token::Owned(msg))
     }
 }
 

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use spi_net::wire::{read_record, write_record};
 use spi_net::{loopback, loopback_with, socket_path, BatchParams, NetReceiver, NetSender};
 use spi_platform::{
-    decode_frame, encode_frame_into, ChannelSpec, FrameError, Transport, TransportError,
+    decode_frame, encode_frame_into, ChannelSpec, FrameError, Token, Transport, TransportError,
     FRAME_HEADER_BYTES,
 };
 
@@ -119,6 +119,43 @@ fn peer_disconnect_surfaces_as_timeout_not_hang() {
         "closed peer must fail fast, waited {:?}",
         start.elapsed()
     );
+}
+
+#[test]
+fn wrong_direction_calls_fail_like_a_closed_channel() {
+    // Each half answers the other half's calls with the errors a torn
+    // socket returns — typed and immediate, never a panic.
+    let (tx, rx) = loopback(&spec(64, 8)).expect("loopback");
+    let timeout = Duration::from_secs(30);
+    let closed = |res: Result<(), TransportError>| {
+        assert!(
+            matches!(res, Err(TransportError::Timeout { after, idle }) if after == timeout && idle <= after),
+            "expected the closed-channel Timeout, got {res:?}"
+        );
+    };
+    let start = Instant::now();
+    assert_eq!(tx.try_recv().map(|_| ()), Err(TransportError::Empty));
+    assert_eq!(tx.try_recv_token().map(|_| ()), Err(TransportError::Empty));
+    closed(tx.recv(timeout).map(|_| ()));
+    closed(tx.recv_token(timeout).map(|_| ()));
+    closed(tx.recv_with(&mut |_| {}, timeout));
+    assert_eq!(rx.try_send(&[1]), Err(TransportError::Full));
+    assert_eq!(
+        rx.try_send_token(Token::Owned(vec![1])),
+        Err(TransportError::Full)
+    );
+    closed(rx.send(&[1], timeout));
+    closed(rx.send_with(1, &mut |buf| buf[0] = 1, timeout));
+    closed(rx.send_in_place(1, &mut |_| 1, timeout));
+    closed(rx.send_token(Token::Owned(vec![1]), timeout));
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "wrong-direction calls must fail fast, took {:?}",
+        start.elapsed()
+    );
+    // Neither half was disturbed: the channel still works forwards.
+    tx.send(&[9], timeout).expect("send");
+    assert_eq!(rx.recv(timeout).expect("recv"), [9]);
 }
 
 #[test]

@@ -107,7 +107,7 @@ impl Default for ThreadedRunner {
 }
 
 impl ThreadedRunner {
-    /// A runner with the default transport ([`TransportKind::Locked`])
+    /// A runner with the default transport ([`TransportKind::Ring`])
     /// and deadlock timeout ([`DEFAULT_DEADLOCK_TIMEOUT`]).
     pub fn new() -> Self {
         Self::default()
@@ -564,7 +564,7 @@ fn record_fault(
     }
 }
 
-/// Executes programs with the default (locked) transport; see
+/// Executes programs with the default (ring) transport; see
 /// [`ThreadedRunner`] for transport selection and the module docs for
 /// semantics.
 ///
@@ -812,9 +812,9 @@ mod tests {
     }
 
     #[test]
-    fn default_runner_uses_locked_transport_and_default_timeout() {
+    fn default_runner_uses_ring_transport_and_default_timeout() {
         let r = ThreadedRunner::new();
-        assert_eq!(r.transport_kind(), TransportKind::Locked);
+        assert_eq!(r.transport_kind(), TransportKind::Ring);
         assert_eq!(r.deadlock_timeout(), DEFAULT_DEADLOCK_TIMEOUT);
     }
 }

@@ -142,12 +142,29 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// The per-message bound check every send path starts with:
+/// [`TransportError::TooLarge`] when `len` exceeds `max`.
+fn fits(len: usize, max: usize) -> Result<(), TransportError> {
+    if len > max {
+        return Err(TransportError::TooLarge { bytes: len, max });
+    }
+    Ok(())
+}
+
 /// A bounded, blocking, FIFO point-to-point channel between OS threads.
 ///
 /// Capacity is accounted in **bytes**, matching the discrete-event
 /// engine and the paper's eq. (1)/(2) buffer bounds, not in message
 /// counts. All methods take `&self`; implementations are internally
 /// synchronized.
+///
+/// Implementors define a **token core** of seven methods: the two
+/// bounds, `snapshot`, `try_send`, `send_with`, `try_recv_token` and
+/// `recv_token`. Every other method is defined once, here, on top of
+/// that core, and is overridden only where an implementor has a faster
+/// path (DESIGN.md §9 lists which and why). A half-duplex endpoint
+/// answers the other half's calls with the errors of a closed channel
+/// (`Timeout` when blocking, `Full`/`Empty` for `try_*`), never a panic.
 pub trait Transport: Send + Sync {
     /// Total payload capacity in bytes. For [`RingTransport`] this is
     /// exactly `slots × slot_bytes`, i.e. the eq. (2) allocation.
@@ -156,7 +173,8 @@ pub trait Transport: Send + Sync {
     /// Largest single message this transport accepts, in bytes.
     fn max_message_bytes(&self) -> usize;
 
-    /// Payload bytes currently buffered in the channel.
+    /// Payload bytes currently buffered in the channel: the first half
+    /// of [`Transport::snapshot`].
     ///
     /// Exact for [`LockedTransport`]; for [`RingTransport`] it is
     /// **slot-granular** (`occupancy() × slot size` — the ring reserves
@@ -164,21 +182,23 @@ pub trait Transport: Send + Sync {
     /// eq. (2) bound accounts). Under concurrent traffic the value is a
     /// point-in-time snapshot, never an over-estimate of what a
     /// linearized observer could have seen.
-    fn len_bytes(&self) -> usize;
-
-    /// Messages currently buffered in the channel (same snapshot
-    /// semantics as [`Transport::len_bytes`]).
-    fn occupancy(&self) -> usize;
-
-    /// `(len_bytes, occupancy)` from a single observation. Semantically
-    /// identical to calling the two accessors back to back, but
-    /// implementations override it to read their shared state once —
-    /// this sits on the traced runner's per-message path, where a
-    /// redundant load of a cache line owned by the peer thread is
-    /// measurable.
-    fn snapshot(&self) -> (usize, usize) {
-        (self.len_bytes(), self.occupancy())
+    fn len_bytes(&self) -> usize {
+        self.snapshot().0
     }
+
+    /// Messages currently buffered in the channel (the second half of
+    /// [`Transport::snapshot`], same snapshot semantics as
+    /// [`Transport::len_bytes`]).
+    fn occupancy(&self) -> usize {
+        self.snapshot().1
+    }
+
+    /// `(len_bytes, occupancy)` from a single observation of the
+    /// channel's shared state. This sits on the traced runner's
+    /// per-message path, where a redundant load of a cache line owned
+    /// by the peer thread is measurable, so implementations read their
+    /// state once.
+    fn snapshot(&self) -> (usize, usize);
 
     /// Blocking send of an owned payload; gives up after `timeout`.
     ///
@@ -199,14 +219,14 @@ pub trait Transport: Send + Sync {
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError>;
 
     /// Blocking receive of an owned payload; gives up after `timeout`.
+    /// The received token's bytes, copied only when they live in a
+    /// pool slot ([`Token::into_vec`]).
     ///
     /// # Errors
     ///
     /// [`TransportError::Timeout`] if no message arrived in time.
     fn recv(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let mut out = Vec::new();
-        self.recv_with(&mut |bytes| out.extend_from_slice(bytes), timeout)?;
-        Ok(out)
+        self.recv_token(timeout).map(Token::into_vec)
     }
 
     /// Non-blocking receive.
@@ -214,7 +234,9 @@ pub trait Transport: Send + Sync {
     /// # Errors
     ///
     /// [`TransportError::Empty`] when no message is waiting.
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError>;
+    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
+        self.try_recv_token().map(Token::into_vec)
+    }
 
     /// Blocking zero-copy send: reserves `len` bytes of channel storage
     /// and invokes `fill` to write the payload directly into it. The
@@ -231,9 +253,10 @@ pub trait Transport: Send + Sync {
         timeout: Duration,
     ) -> Result<(), TransportError>;
 
-    /// Blocking zero-copy receive: invokes `consume` on the payload
-    /// bytes while they still live in channel storage, then releases
-    /// the slot. No heap allocation on the ring implementation.
+    /// Blocking receive that invokes `consume` on the payload bytes and
+    /// then releases them. [`RingTransport`] reads straight out of the
+    /// ring slot with no heap allocation; the default borrows the
+    /// received token.
     ///
     /// # Errors
     ///
@@ -242,7 +265,11 @@ pub trait Transport: Send + Sync {
         &self,
         consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
-    ) -> Result<(), TransportError>;
+    ) -> Result<(), TransportError> {
+        let token = self.recv_token(timeout)?;
+        consume(&token);
+        Ok(())
+    }
 
     /// Blocking in-place framing send: reserves up to `max_len` bytes of
     /// writable channel storage, invokes `frame` to build the message in
@@ -262,12 +289,7 @@ pub trait Transport: Send + Sync {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.max_message_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.max_message_bytes(),
-            });
-        }
+        fits(max_len, self.max_message_bytes())?;
         let mut buf = vec![0u8; max_len];
         let n = frame(&mut buf).min(max_len);
         self.send(&buf[..n], timeout)
@@ -289,16 +311,16 @@ pub trait Transport: Send + Sync {
         self.send(&token, timeout)
     }
 
-    /// Blocking receive returning a [`Token`]: a zero-copy pooled lease
-    /// on [`PointerTransport`] (dropping it is the slot-release
-    /// acknowledgement), an owned heap buffer elsewhere.
+    /// Blocking receive returning a [`Token`]; gives up after
+    /// `timeout`. A zero-copy pooled lease on [`PointerTransport`]
+    /// (dropping it is the slot-release acknowledgement), an owned heap
+    /// buffer elsewhere — the queued buffer itself where the transport
+    /// keeps one, so no second copy is made.
     ///
     /// # Errors
     ///
-    /// As [`Transport::recv`].
-    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
-        self.recv(timeout).map(Token::Owned)
-    }
+    /// [`TransportError::Timeout`] if no message arrived in time.
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError>;
 
     /// Non-blocking variant of [`Transport::send_token`].
     ///
@@ -313,10 +335,8 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     ///
-    /// As [`Transport::try_recv`].
-    fn try_recv_token(&self) -> Result<Token, TransportError> {
-        self.try_recv().map(Token::Owned)
-    }
+    /// [`TransportError::Empty`] when no message is waiting.
+    fn try_recv_token(&self) -> Result<Token, TransportError>;
 
     /// The buffer pool backing this transport's payloads, when it has
     /// one ([`PointerTransport`]; decorators forward their inner
@@ -328,14 +348,14 @@ pub trait Transport: Send + Sync {
 }
 
 /// Which [`Transport`] implementation a runner should instantiate per
-/// channel.
+/// channel. The default is the fast [`TransportKind::Ring`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// `Mutex`+`Condvar` bounded queue ([`LockedTransport`]) — the
-    /// reference implementation.
-    #[default]
+    /// reference implementation, kept as the equivalence oracle.
     Locked,
     /// Lock-free SPSC ring of fixed slots ([`RingTransport`]).
+    #[default]
     Ring,
     /// Pointer exchange through a pooled slab ([`PointerTransport`]):
     /// payloads stay in place, only slot descriptors move.
@@ -425,45 +445,27 @@ impl Transport for LockedTransport {
         self.max_message_bytes
     }
 
-    fn len_bytes(&self) -> usize {
-        self.inner.lock().expect("transport lock").used_bytes
-    }
-
-    fn occupancy(&self) -> usize {
-        self.inner.lock().expect("transport lock").queue.len()
-    }
-
     fn snapshot(&self) -> (usize, usize) {
         let inner = self.inner.lock().expect("transport lock");
         (inner.used_bytes, inner.queue.len())
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.max_message_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.max_message_bytes,
-            });
-        }
-        let mut inner = self.inner.lock().expect("transport lock");
-        if inner.used_bytes + data.len() > self.capacity_bytes && !inner.queue.is_empty() {
-            return Err(TransportError::Full);
-        }
-        inner.used_bytes += data.len();
-        inner.pushes += 1;
-        inner.queue.push_back(data.to_vec());
-        self.not_empty.notify_one();
-        Ok(())
+        // A zero timeout admits exactly what a non-blocking send may.
+        self.send(data, Duration::ZERO).map_err(|e| match e {
+            TransportError::Timeout { .. } => TransportError::Full,
+            other => other,
+        })
     }
 
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
+    fn try_recv_token(&self) -> Result<Token, TransportError> {
         let mut inner = self.inner.lock().expect("transport lock");
         match inner.queue.pop_front() {
             Some(data) => {
                 inner.used_bytes -= data.len();
                 inner.pops += 1;
                 self.not_full.notify_one();
-                Ok(data)
+                Ok(Token::Owned(data))
             }
             None => Err(TransportError::Empty),
         }
@@ -475,12 +477,7 @@ impl Transport for LockedTransport {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.max_message_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.max_message_bytes,
-            });
-        }
+        fits(len, self.max_message_bytes)?;
         let mut data = vec![0u8; len];
         fill(&mut data);
         let start = Instant::now();
@@ -515,11 +512,7 @@ impl Transport for LockedTransport {
         Ok(())
     }
 
-    fn recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
         let start = Instant::now();
         let deadline = start + timeout;
         let mut inner = self.inner.lock().expect("transport lock");
@@ -531,8 +524,7 @@ impl Transport for LockedTransport {
                 inner.pops += 1;
                 drop(inner);
                 self.not_full.notify_one();
-                consume(&data);
-                return Ok(());
+                return Ok(Token::Owned(data));
             }
             let now = Instant::now();
             if inner.pushes != seen_pushes {
@@ -826,16 +818,18 @@ impl RingTransport {
         }
     }
 
-    /// Writes the claimed slot and publishes it to the consumer side.
-    fn publish(&self, pos: usize, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
+    /// Frames the claimed slot in place — `frame` writes into the
+    /// first `max_len` bytes and returns the message length — and
+    /// publishes it to the consumer side.
+    fn publish(&self, pos: usize, max_len: usize, frame: &mut dyn FnMut(&mut [u8]) -> usize) {
         let idx = pos % self.slots;
         // SAFETY: the claim protocol gives this thread exclusive access
         // to slot `idx` between `claim_send` and the seq store below;
         // slots are disjoint byte ranges of `buf`.
         unsafe {
-            *self.lens[idx].get() = len;
-            let dst = std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), len);
-            fill(dst);
+            let dst =
+                std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), max_len);
+            *self.lens[idx].get() = frame(dst).min(max_len);
         }
         self.seq[idx].store(pos.wrapping_mul(2).wrapping_add(1), Ordering::Release);
         self.recv_waiters.wake_one();
@@ -1011,11 +1005,7 @@ impl Transport for RingTransport {
         self.slot_bytes
     }
 
-    fn len_bytes(&self) -> usize {
-        self.occupancy() * self.slot_bytes
-    }
-
-    fn occupancy(&self) -> usize {
+    fn snapshot(&self) -> (usize, usize) {
         // `tail` and `head` are monotonic claim counters; their
         // difference is the number of occupied (claimed-or-published)
         // slots. Loading `tail` first means a racing consumer can only
@@ -1024,43 +1014,34 @@ impl Transport for RingTransport {
         let tail = self.tail.load(Ordering::Acquire);
         let head = self.head.load(Ordering::Acquire);
         let diff = tail.wrapping_sub(head);
-        if diff > self.slots {
-            0
-        } else {
-            diff
-        }
-    }
-
-    fn snapshot(&self) -> (usize, usize) {
-        let occ = self.occupancy();
+        let occ = if diff > self.slots { 0 } else { diff };
         (occ * self.slot_bytes, occ)
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.slot_bytes,
-            });
-        }
+        fits(data.len(), self.slot_bytes)?;
         match self.claim_send() {
             Some(pos) => {
-                self.publish(pos, data.len(), &mut |buf| buf.copy_from_slice(data));
+                self.publish(pos, data.len(), &mut |buf| {
+                    buf.copy_from_slice(data);
+                    data.len()
+                });
                 Ok(())
             }
             None => Err(TransportError::Full),
         }
     }
 
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        match self.claim_recv() {
-            Some(pos) => {
-                let mut out = Vec::new();
-                self.consume_slot(pos, &mut |bytes| out.extend_from_slice(bytes));
-                Ok(out)
-            }
-            None => Err(TransportError::Empty),
-        }
+    fn try_recv_token(&self) -> Result<Token, TransportError> {
+        let mut out = Vec::new();
+        self.try_recv_with(&mut |bytes| out.extend_from_slice(bytes))?;
+        Ok(Token::Owned(out))
+    }
+
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
+        let mut out = Vec::new();
+        self.recv_with(&mut |bytes| out.extend_from_slice(bytes), timeout)?;
+        Ok(Token::Owned(out))
     }
 
     fn send_with(
@@ -1069,15 +1050,14 @@ impl Transport for RingTransport {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.slot_bytes,
-            });
-        }
-        let pos = self.claim_send_blocking(timeout)?;
-        self.publish(pos, len, fill);
-        Ok(())
+        self.send_in_place(
+            len,
+            &mut |buf| {
+                fill(buf);
+                len
+            },
+            timeout,
+        )
     }
 
     fn recv_with(
@@ -1096,24 +1076,9 @@ impl Transport for RingTransport {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.slot_bytes,
-            });
-        }
+        fits(max_len, self.slot_bytes)?;
         let pos = self.claim_send_blocking(timeout)?;
-        let idx = pos % self.slots;
-        // SAFETY: as `publish` — the claim protocol gives this thread
-        // exclusive access to slot `idx` until the seq store below.
-        unsafe {
-            let dst =
-                std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), max_len);
-            let n = frame(dst).min(max_len);
-            *self.lens[idx].get() = n;
-        }
-        self.seq[idx].store(pos.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-        self.recv_waiters.wake_one();
+        self.publish(pos, max_len, frame);
         Ok(())
     }
 }
@@ -1238,28 +1203,15 @@ impl Transport for PointerTransport {
         self.pool.slot_bytes()
     }
 
-    fn len_bytes(&self) -> usize {
+    fn snapshot(&self) -> (usize, usize) {
         // Slot-granular, like the ring: eq. (2) accounts a full
         // packed-token slot per in-flight message.
-        self.ring.occupancy() * self.pool.slot_bytes()
-    }
-
-    fn occupancy(&self) -> usize {
-        self.ring.occupancy()
-    }
-
-    fn snapshot(&self) -> (usize, usize) {
         let occ = self.ring.occupancy();
         (occ * self.pool.slot_bytes(), occ)
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.pool.slot_bytes(),
-            });
-        }
+        fits(data.len(), self.pool.slot_bytes())?;
         let Some(mut lease) = self.pool.try_acquire() else {
             return Err(TransportError::Full);
         };
@@ -1268,43 +1220,20 @@ impl Transport for PointerTransport {
         self.publish_lease(lease)
     }
 
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring.try_recv_with(&mut |d| desc = decode_desc(d))?;
-        Ok(self.pool.lease(desc.0, desc.1, desc.2).to_vec())
-    }
-
     fn send_with(
         &self,
         len: usize,
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.pool.slot_bytes(),
-            });
-        }
-        let mut lease = self.pool.acquire(timeout)?;
-        fill(&mut lease[..len]);
-        lease.truncate(len);
-        self.publish_lease(lease)
-    }
-
-    fn recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring
-            .recv_with(&mut |d| desc = decode_desc(d), timeout)?;
-        // The lease releases the slot when it drops — including if
-        // `consume` panics mid-read.
-        let lease = self.pool.lease(desc.0, desc.1, desc.2);
-        consume(&lease);
-        Ok(())
+        self.send_in_place(
+            len,
+            &mut |buf| {
+                fill(buf);
+                len
+            },
+            timeout,
+        )
     }
 
     fn send_in_place(
@@ -1313,12 +1242,7 @@ impl Transport for PointerTransport {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.pool.slot_bytes(),
-            });
-        }
+        fits(max_len, self.pool.slot_bytes())?;
         let mut lease = self.pool.acquire(timeout)?;
         let n = frame(&mut lease[..max_len]).min(max_len);
         lease.truncate(n);

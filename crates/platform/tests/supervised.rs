@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use spi_platform::{
     ChannelId, ChannelSpec, DegradePolicy, InjectedFault, Op, PeLocal, PlatformError, Program,
-    SupervisionPolicy, ThreadedRunner, Transport, TransportError, TransportKind,
+    SupervisionPolicy, ThreadedRunner, Token, Transport, TransportError, TransportKind,
 };
 
 /// What the scripted decorator does to send attempts.
@@ -46,17 +46,11 @@ impl Transport for FaultingTransport {
     fn max_message_bytes(&self) -> usize {
         self.inner.max_message_bytes()
     }
-    fn len_bytes(&self) -> usize {
-        self.inner.len_bytes()
-    }
-    fn occupancy(&self) -> usize {
-        self.inner.occupancy()
+    fn snapshot(&self) -> (usize, usize) {
+        self.inner.snapshot()
     }
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
         self.inner.try_send(data)
-    }
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.inner.try_recv()
     }
     fn send(&self, data: &[u8], timeout: Duration) -> Result<(), TransportError> {
         let seq = frame_seq(data);
@@ -103,12 +97,11 @@ impl Transport for FaultingTransport {
     ) -> Result<(), TransportError> {
         self.inner.send_with(len, fill, timeout)
     }
-    fn recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.inner.recv_with(consume, timeout)
+    fn try_recv_token(&self) -> Result<Token, TransportError> {
+        self.inner.try_recv_token()
+    }
+    fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
+        self.inner.recv_token(timeout)
     }
 }
 

@@ -1086,9 +1086,9 @@ impl SpiSystem {
     /// is not an artifact of event-queue serialization.
     ///
     /// Runs with the default [`spi_platform::ThreadedRunner`]
-    /// configuration (locked transport, 30 s deadlock timeout); use
-    /// [`SpiSystem::run_threaded_with`] to select the lock-free ring
-    /// transport or a different timeout.
+    /// configuration (lock-free ring transport, 30 s deadlock timeout);
+    /// use [`SpiSystem::run_threaded_with`] to select another transport
+    /// or a different timeout.
     ///
     /// # Errors
     ///
