@@ -82,7 +82,7 @@ pub use runner::{
 pub use sim::{
     BusSpec, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, OrderedBusSpec,
     PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, TraceEvent, TraceKind,
-    WaitFn,
+    WaitFn, SPARE_BUFFERS,
 };
 pub use supervise::{
     crc32, decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError,

@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::{BlockKind, BlockedOp, PlatformError, Result};
+use crate::pool::Token;
 use crate::sim::{ChannelId, ChannelSpec, Op, PeId, PeLocal, Program};
 use crate::supervise::{framed_spec, run_supervised, SupervisionPolicy};
 use crate::trace::{payload_digest, ProbeKind, Tracer};
@@ -450,6 +451,7 @@ fn step(
                             },
                         );
                     }
+                    local.recycle(data);
                     true
                 }
                 Err(TransportError::Timeout { idle, .. }) => {
@@ -475,7 +477,7 @@ fn step(
                     Ok(d) => Ok(d),
                     Err(TransportError::Empty) => {
                         let blocked_at = t.now();
-                        let res = ep.recv_token(timeout);
+                        let res = recv_into_spare(ep.as_ref(), local, timeout);
                         if res.is_ok() {
                             let resumed_at = t.now();
                             if resumed_at.saturating_sub(blocked_at) >= STALL_RECORD_NS {
@@ -489,7 +491,7 @@ fn step(
                     }
                     Err(e) => Err(e),
                 },
-                None => ep.recv_token(timeout),
+                None => recv_into_spare(ep.as_ref(), local, timeout),
             };
             match got {
                 Ok(data) => {
@@ -528,6 +530,22 @@ fn step(
         // The functional runner has no simulated clock.
         Op::WaitUntil { .. } => true,
     }
+}
+
+/// Blocking receive of one message. Pooled endpoints hand over their
+/// zero-copy lease; copying endpoints fill a recycled buffer from the
+/// PE's free list instead of allocating a fresh one per message.
+fn recv_into_spare(
+    ep: &dyn Transport,
+    local: &mut PeLocal,
+    timeout: Duration,
+) -> std::result::Result<Token, TransportError> {
+    if ep.pool().is_some() {
+        return ep.recv_token(timeout);
+    }
+    let mut buf = local.spare();
+    ep.recv_with(&mut |bytes| buf.extend_from_slice(bytes), timeout)?;
+    Ok(Token::Owned(buf))
 }
 
 /// Maps a non-timeout transport failure to the platform error space.

@@ -89,10 +89,16 @@ impl ChannelSpec {
     }
 }
 
+/// Most recycled byte buffers a PE keeps on its free list
+/// ([`PeLocal::recycle`]); surplus buffers are freed.
+pub const SPARE_BUFFERS: usize = 8;
+
 /// Mutable per-PE state visible to program closures.
 ///
 /// `store` is the PE's local memory (keyed scratch space shared by all
-/// ops of the PE); `inbox` receives payloads in arrival order, tagged by
+/// ops of the PE); `bufs` holds byte buffers addressed by dense indices
+/// a program generator assigns (the SPI lowering's edge queues and
+/// staged sends); `inbox` receives payloads in arrival order, tagged by
 /// channel.
 #[derive(Debug, Default)]
 pub struct PeLocal {
@@ -104,9 +110,46 @@ pub struct PeLocal {
     pub inbox: VecDeque<(ChannelId, Token)>,
     /// Keyed local memory.
     pub store: HashMap<String, Vec<u8>>,
+    /// Indexed local memory; see [`PeLocal::buf`].
+    pub bufs: Vec<Vec<u8>>,
+    /// Cleared buffers awaiting reuse, at most [`SPARE_BUFFERS`].
+    spares: Vec<Vec<u8>>,
 }
 
 impl PeLocal {
+    /// The indexed buffer `idx`, created empty on first use.
+    pub fn buf(&mut self, idx: usize) -> &mut Vec<u8> {
+        if idx >= self.bufs.len() {
+            self.bufs.resize_with(idx + 1, Vec::new);
+        }
+        &mut self.bufs[idx]
+    }
+
+    /// An empty buffer from the free list (a fresh one when the list is
+    /// empty), so steady-state producers reuse capacity instead of
+    /// allocating.
+    pub fn spare(&mut self) -> Vec<u8> {
+        self.spares.pop().unwrap_or_default()
+    }
+
+    /// Hands `buf` back to the free list, cleared. A full list keeps
+    /// its [`SPARE_BUFFERS`] largest buffers, so a small payload
+    /// recycled every iteration cannot displace the buffers that fit a
+    /// framed message.
+    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        if self.spares.len() < SPARE_BUFFERS {
+            self.spares.push(buf);
+        } else if let Some(smallest) = self.spares.iter_mut().min_by_key(|b| b.capacity()) {
+            if smallest.capacity() < buf.capacity() {
+                *smallest = buf;
+            }
+        }
+    }
+
     /// Pops the oldest pending payload from `channel` as an owned
     /// buffer (copying if it was a pooled lease; the lease's slot is
     /// released on return).

@@ -26,13 +26,13 @@
 //!   substitute a neutral (zero) token of the last observed size, skip
 //!   it, or fail the run with an error naming the edge.
 //! * **Checkpoint / restart** — each PE snapshots its functional state
-//!   (store + inbox) at every iteration boundary. A panicking compute
-//!   closure rolls the iteration back and replays it: receives are
-//!   replayed from a local log (the transport is not touched again) and
-//!   already-transmitted sends are not re-sent, so a restart can never
-//!   push channel occupancy past the eq. (2) bound. Replay assumes
-//!   compute and payload closures are deterministic functions of
-//!   [`PeLocal`].
+//!   (store, indexed buffers and inbox) at every iteration boundary. A
+//!   panicking compute closure rolls the iteration back and replays it:
+//!   receives are replayed from a local log (the transport is not
+//!   touched again) and already-transmitted sends are not re-sent, so a
+//!   restart can never push channel occupancy past the eq. (2) bound.
+//!   Replay assumes compute and payload closures are deterministic
+//!   functions of [`PeLocal`].
 //!
 //! Every fault-handling decision is emitted through the [`Tracer`] as a
 //! `FaultRetry` / `FaultCorrupt` / `FaultDegraded` / `FaultRestart`
@@ -723,6 +723,7 @@ pub(crate) fn run_supervised(
                     // iteration loop so `clone_from`/`clear` reuse
                     // their allocations on the fault-free hot path.
                     let mut ckpt_store = local.store.clone();
+                    let mut ckpt_bufs = local.bufs.clone();
                     let mut ckpt_inbox = local.inbox.clone();
                     // Replay entries are deep copies (`Token::clone`),
                     // so a pooled lease delivered to the inbox never
@@ -733,6 +734,7 @@ pub(crate) fn run_supervised(
                         // Iteration-boundary checkpoint: the functional
                         // state a restart rolls back to.
                         ckpt_store.clone_from(&local.store);
+                        ckpt_bufs.clone_from(&local.bufs);
                         ckpt_inbox.clone_from(&local.inbox);
                         replay.clear();
                         let mut sends_done: usize = 0;
@@ -745,7 +747,7 @@ pub(crate) fn run_supervised(
                                     Op::Send { channel, payload } => {
                                         let ch = *channel;
                                         let data = payload(&mut local);
-                                        if send_skip > 0 {
+                                        let outcome = if send_skip > 0 {
                                             // Already transmitted before
                                             // the rollback; the payload
                                             // closure re-ran (determinism)
@@ -758,7 +760,9 @@ pub(crate) fn run_supervised(
                                             OpOutcome::Ok
                                         } else {
                                             OpOutcome::Abort
-                                        }
+                                        };
+                                        local.recycle(data);
+                                        outcome
                                     }
                                     Op::Recv { channel } => {
                                         let ch = *channel;
@@ -789,6 +793,7 @@ pub(crate) fn run_supervised(
                                             ctx.restarts += 1;
                                             ctx.emit(ProbeKind::FaultRestart { iter });
                                             local.store.clone_from(&ckpt_store);
+                                            local.bufs.clone_from(&ckpt_bufs);
                                             local.inbox.clone_from(&ckpt_inbox);
                                             continue 'attempt;
                                         }
@@ -852,7 +857,9 @@ fn sup_op(ctx: &mut PeCtx<'_>, op: &mut Op, label: u32, local: &mut PeLocal) -> 
         Op::Send { channel, payload } => {
             let ch = *channel;
             let data = payload(local);
-            if ctx.sup_send(ch, &data) {
+            let sent = ctx.sup_send(ch, &data);
+            local.recycle(data);
+            if sent {
                 OpOutcome::Ok
             } else {
                 OpOutcome::Abort

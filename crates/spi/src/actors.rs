@@ -64,8 +64,27 @@ impl Firing {
         self.outputs.get(&edge).map(Vec::as_slice)
     }
 
-    pub(crate) fn into_outputs(self) -> HashMap<EdgeId, Vec<u8>> {
-        self.outputs
+    /// A context over caller-owned maps, so a lowered firing reuses
+    /// their capacity from one iteration to the next. `outputs` must be
+    /// empty.
+    pub(crate) fn with_maps(
+        iter: u64,
+        k: u64,
+        inputs: HashMap<EdgeId, Vec<u8>>,
+        outputs: HashMap<EdgeId, Vec<u8>>,
+    ) -> Self {
+        debug_assert!(outputs.is_empty());
+        Firing {
+            iter,
+            k,
+            inputs,
+            outputs,
+        }
+    }
+
+    /// The input and output maps, handed back for reuse.
+    pub(crate) fn into_maps(self) -> (HashMap<EdgeId, Vec<u8>>, HashMap<EdgeId, Vec<u8>>) {
+        (self.inputs, self.outputs)
     }
 }
 
@@ -130,7 +149,7 @@ mod tests {
         assert_eq!(ctx.input(EdgeId(9)), &[] as &[u8]);
         ctx.set_output(EdgeId(1), vec![9, 9]);
         assert_eq!(ctx.output(EdgeId(1)), Some(&[9u8, 9][..]));
-        let outs = ctx.into_outputs();
+        let (_, outs) = ctx.into_maps();
         assert_eq!(outs[&EdgeId(1)], vec![9, 9]);
     }
 

@@ -21,11 +21,12 @@
 //!    hardware (tables 1–2).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use spi_dataflow::{ActorId, EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{
-    ChannelId, ChannelSpec, Machine, Op, PeLocal, Program, ResourceEstimate, SimReport, Tracer,
+    ChannelId, ChannelSpec, Machine, Op, PayloadFn, PeLocal, Program, ResourceEstimate, SimReport,
+    Token, Tracer,
 };
 use spi_sched::{
     Assignment, IpcGraph, Partition, ProcId, Protocol, ResyncCertificate, ResyncReport,
@@ -1260,55 +1261,97 @@ fn failed(local: &PeLocal) -> bool {
     local.store.contains_key(FAIL_KEY)
 }
 
-fn queue_key(edge: EdgeId) -> String {
-    format!("__q_e{}", edge.0)
+/// Dense indices into one PE's [`PeLocal::bufs`]: a byte queue per
+/// edge consumed on the PE, and a staging buffer per cross edge sent
+/// from it (the framed message between the firing and its `Send` op).
+#[derive(Default)]
+struct BufIndex {
+    queues: HashMap<EdgeId, usize>,
+    sends: HashMap<EdgeId, usize>,
 }
 
-fn send_key(edge: EdgeId) -> String {
-    format!("__send_e{}", edge.0)
+impl BufIndex {
+    fn new(
+        graph: &SdfGraph,
+        plans: &HashMap<EdgeId, EdgePlan>,
+        order: &[spi_dataflow::Firing],
+    ) -> Self {
+        let mut index = BufIndex::default();
+        for f in order {
+            for eid in graph.in_edges(f.actor) {
+                let next = index.len();
+                index.queues.entry(eid).or_insert(next);
+            }
+            for eid in graph.out_edges(f.actor) {
+                if plans.contains_key(&eid) {
+                    let next = index.len();
+                    index.sends.entry(eid).or_insert(next);
+                }
+            }
+        }
+        index
+    }
+
+    fn len(&self) -> usize {
+        self.queues.len() + self.sends.len()
+    }
 }
 
 /// Appends raw bytes to an edge's byte queue.
-fn queue_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
-    local
-        .store
-        .entry(queue_key(edge))
-        .or_default()
-        .extend_from_slice(bytes);
+fn queue_push(local: &mut PeLocal, queue: usize, bytes: &[u8]) {
+    local.buf(queue).extend_from_slice(bytes);
 }
 
 /// Takes exactly `n` bytes from the queue; `None` if short (a protocol
-/// bug — the schedule guarantees availability).
-fn queue_take(local: &mut PeLocal, edge: EdgeId, n: usize) -> Option<Vec<u8>> {
-    let q = local.store.entry(queue_key(edge)).or_default();
-    if q.len() < n {
+/// bug — the schedule guarantees availability). An exact take swaps a
+/// spare buffer in, so the queue keeps capacity for the next push.
+fn queue_take(local: &mut PeLocal, queue: usize, n: usize) -> Option<Vec<u8>> {
+    let len = local.buf(queue).len();
+    if len < n {
         return None;
     }
-    let rest = q.split_off(n);
-    let head = std::mem::replace(q, rest);
+    let mut head = local.spare();
+    let q = local.buf(queue);
+    if len == n {
+        std::mem::swap(&mut head, q);
+    } else {
+        head.extend_from_slice(&q[..n]);
+        q.drain(..n);
+    }
     Some(head)
 }
 
 /// Appends a length-prefixed frame (dynamic edges).
-fn frame_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
-    let q = local.store.entry(queue_key(edge)).or_default();
+fn frame_push(local: &mut PeLocal, queue: usize, bytes: &[u8]) {
+    let q = local.buf(queue);
     q.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     q.extend_from_slice(bytes);
 }
 
 /// Pops one frame; `None` if the queue is empty or corrupt.
-fn frame_pop(local: &mut PeLocal, edge: EdgeId) -> Option<Vec<u8>> {
-    let q = local.store.entry(queue_key(edge)).or_default();
+fn frame_pop(local: &mut PeLocal, queue: usize) -> Option<Vec<u8>> {
+    let q = local.buf(queue);
     if q.len() < 4 {
         return None;
     }
-    let len = u32::from_le_bytes([q[0], q[1], q[2], q[3]]) as usize;
-    if q.len() < 4 + len {
+    let end = 4 + u32::from_le_bytes([q[0], q[1], q[2], q[3]]) as usize;
+    if q.len() < end {
         return None;
     }
-    let rest = q.split_off(4 + len);
-    let frame = std::mem::replace(q, rest)[4..].to_vec();
+    let mut frame = local.spare();
+    let q = local.buf(queue);
+    frame.extend_from_slice(&q[4..end]);
+    q.drain(..end);
     Some(frame)
+}
+
+/// A UBS acknowledgement (the edge id), built in a recycled buffer.
+fn ack_payload(edge: EdgeId) -> PayloadFn {
+    Box::new(move |l| {
+        let mut ack = l.spare();
+        ack.extend_from_slice(&(edge.0 as u16).to_le_bytes());
+        ack
+    })
 }
 
 /// Steady-state per-firing receive count for consumer firing `j` of
@@ -1387,13 +1430,14 @@ impl ProgramGen<'_> {
         // whole program body; instead we exploit a simpler equivalent:
         // fills and primes are performed by *this* generator emitting
         // one-off ops ahead of the loop via Program::prologue support.
+        let index = BufIndex::new(self.graph, self.plans, order);
         let mut prologue: Vec<Op> = Vec::new();
         let mut edges_seen: Vec<EdgeId> = Vec::new();
         for &f in order {
             for eid in self.graph.in_edges(f.actor) {
                 if !edges_seen.contains(&eid) {
                     edges_seen.push(eid);
-                    self.prime_consumer(proc, eid, &mut prologue);
+                    self.prime_consumer(proc, eid, &index, &mut prologue);
                 }
             }
             for eid in self.graph.out_edges(f.actor) {
@@ -1406,7 +1450,7 @@ impl ProgramGen<'_> {
 
         // ---------------- Main loop body per firing ----------------
         for &f in order {
-            self.emit_firing(proc, f, &mut ops)?;
+            self.emit_firing(proc, f, &index, &mut ops)?;
         }
 
         let mut program = Program::new(ops, iterations);
@@ -1415,7 +1459,7 @@ impl ProgramGen<'_> {
     }
 
     /// Consumer-side priming: local-queue delay tokens and UBS credits.
-    fn prime_consumer(&self, proc: ProcId, eid: EdgeId, prologue: &mut Vec<Op>) {
+    fn prime_consumer(&self, proc: ProcId, eid: EdgeId, index: &BufIndex, prologue: &mut Vec<Op>) {
         let e = self.graph.edge(eid);
         let plan = self.plans.get(&eid);
         let is_cross = plan.is_some();
@@ -1444,6 +1488,7 @@ impl ProgramGen<'_> {
                 0
             };
             let edge = eid;
+            let queue = index.queues[&eid];
             prologue.push(Op::Compute {
                 label: format!("spi:prime:{edge}"),
                 work: Box::new(move |l| {
@@ -1455,7 +1500,7 @@ impl ProgramGen<'_> {
                                 .and_then(|v| v.get(offset + i as usize))
                                 .cloned()
                                 .unwrap_or_default();
-                            frame_push(l, edge, &payload);
+                            frame_push(l, queue, &payload);
                         }
                     } else {
                         let total = prime_tokens as usize * token_bytes;
@@ -1464,7 +1509,7 @@ impl ProgramGen<'_> {
                             .and_then(|v| v.get(offset))
                             .cloned()
                             .unwrap_or_else(|| vec![0u8; total]);
-                        queue_push(l, edge, &bytes);
+                        queue_push(l, queue, &bytes);
                     }
                     1
                 }),
@@ -1478,11 +1523,10 @@ impl ProgramGen<'_> {
                     spi_sched::Protocol::Ubs { ack_window } => ack_window,
                     spi_sched::Protocol::Bbs { .. } => unreachable!("acks imply UBS"),
                 };
-                let edge = eid;
                 for _ in 0..window {
                     prologue.push(Op::Send {
                         channel: ack_ch,
-                        payload: Box::new(move |_| (edge.0 as u16).to_le_bytes().to_vec()),
+                        payload: ack_payload(eid),
                     });
                 }
             }
@@ -1548,7 +1592,13 @@ impl ProgramGen<'_> {
     }
 
     /// Emits the op sequence of one firing.
-    fn emit_firing(&self, proc: ProcId, f: spi_dataflow::Firing, ops: &mut Vec<Op>) -> Result<()> {
+    fn emit_firing(
+        &self,
+        proc: ProcId,
+        f: spi_dataflow::Firing,
+        index: &BufIndex,
+        ops: &mut Vec<Op>,
+    ) -> Result<()> {
         let actor = f.actor;
         if let Some(timing) = self.static_timing {
             let start = timing.start.get(&f).copied().unwrap_or(0);
@@ -1585,6 +1635,7 @@ impl ProgramGen<'_> {
                 let plan = &self.plans[&eid];
                 DecodeInfo {
                     edge: eid,
+                    queue: index.queues[&eid],
                     channel: plan.data_ch,
                     count,
                     phase: plan.phase,
@@ -1598,6 +1649,7 @@ impl ProgramGen<'_> {
                 let e = self.graph.edge(eid);
                 ConsumeInfo {
                     edge: eid,
+                    queue: index.queues[&eid],
                     dynamic: self.vts.edge_info(eid).is_some(),
                     bytes: e.consume.bound() as usize * e.token_bytes as usize,
                 }
@@ -1608,8 +1660,14 @@ impl ProgramGen<'_> {
             .map(|&eid| {
                 let e = self.graph.edge(eid);
                 let dynamic = self.vts.edge_info(eid).is_some();
+                let cross = self.plans.contains_key(&eid);
                 ProduceInfo {
                     edge: eid,
+                    buf: if cross {
+                        index.sends[&eid]
+                    } else {
+                        index.queues[&eid]
+                    },
                     dynamic,
                     exact_bytes: e.produce.bound() as usize * e.token_bytes as usize,
                     bound_bytes: if dynamic {
@@ -1617,7 +1675,7 @@ impl ProgramGen<'_> {
                     } else {
                         e.produce.bound() as usize * e.token_bytes as usize
                     },
-                    cross: self.plans.contains_key(&eid),
+                    cross,
                     phase: self
                         .plans
                         .get(&eid)
@@ -1631,6 +1689,9 @@ impl ProgramGen<'_> {
         let name = self.graph.actor(actor).name.clone();
         let k = f.k;
         let signal = self.signal;
+        // The firing's input/output maps live across iterations so
+        // their capacity is reused.
+        let mut maps: (HashMap<EdgeId, Vec<u8>>, HashMap<EdgeId, Vec<u8>>) = Default::default();
         ops.push(Op::Compute {
             label: format!("fire:{name}#{k}"),
             work: Box::new(move |l| {
@@ -1674,18 +1735,21 @@ impl ProgramGen<'_> {
                             }
                         };
                         match d.phase {
-                            SpiPhase::Static => queue_push(l, d.edge, payload),
-                            SpiPhase::Dynamic => frame_push(l, d.edge, payload),
+                            SpiPhase::Static => queue_push(l, d.queue, payload),
+                            SpiPhase::Dynamic => frame_push(l, d.queue, payload),
+                        }
+                        if let Token::Owned(buf) = msg {
+                            l.recycle(buf);
                         }
                     }
                 }
                 // Gather this firing's inputs.
-                let mut inputs = HashMap::new();
+                let (mut inputs, outputs) = std::mem::take(&mut maps);
                 for c in &consume_info {
                     let data = if c.dynamic {
-                        frame_pop(l, c.edge)
+                        frame_pop(l, c.queue)
                     } else {
-                        queue_take(l, c.edge, c.bytes)
+                        queue_take(l, c.queue, c.bytes)
                     };
                     let Some(data) = data else {
                         fail(l, format!("input underflow on {}", c.edge));
@@ -1693,10 +1757,19 @@ impl ProgramGen<'_> {
                     };
                     inputs.insert(c.edge, data);
                 }
-                // Fire.
-                let mut ctx = Firing::new(l.iter, k, inputs);
-                let cycles = shared.lock().expect("actor lock").fire(&mut ctx);
-                let mut outputs = ctx.into_outputs();
+                // Fire. A firing that panicked poisoned the lock; the
+                // supervised restart replays it, which already requires
+                // firings to be deterministic in their inputs (DESIGN.md
+                // §11), so the recovered guard is as good as a clean one.
+                let mut ctx = Firing::with_maps(l.iter, k, inputs, outputs);
+                let cycles = shared
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .fire(&mut ctx);
+                let (mut inputs, mut outputs) = ctx.into_maps();
+                for (_, buf) in inputs.drain() {
+                    l.recycle(buf);
+                }
                 // Stage outputs.
                 for p in &produce_info {
                     let bytes = outputs.remove(&p.edge).unwrap_or_default();
@@ -1726,27 +1799,38 @@ impl ProgramGen<'_> {
                         return 0;
                     }
                     if p.cross {
-                        // Frame now (SPI_send header cost) and stash for
+                        // Frame now (SPI_send header cost) and stage for
                         // the Send op that follows.
-                        let framed = match p.phase {
-                            SpiPhase::Static => message::encode_static(p.edge, &bytes),
-                            SpiPhase::Dynamic => message::encode_dynamic(p.edge, &bytes),
+                        let mut framed = l.spare();
+                        let framed_len = match p.phase {
+                            SpiPhase::Static => message::static_frame_bytes(bytes.len()),
+                            SpiPhase::Dynamic => message::dynamic_frame_bytes(bytes.len()),
                         };
-                        let framed = match framed {
-                            Ok(framed) => framed,
-                            Err(e) => {
-                                fail(l, e.to_string());
-                                return 0;
+                        framed.resize(framed_len, 0);
+                        let encoded = match p.phase {
+                            SpiPhase::Static => {
+                                message::encode_static_into(p.edge, &bytes, &mut framed)
+                            }
+                            SpiPhase::Dynamic => {
+                                message::encode_dynamic_into(p.edge, &bytes, &mut framed)
                             }
                         };
+                        if let Err(e) = encoded {
+                            fail(l, e.to_string());
+                            return 0;
+                        }
                         overhead += 1; // header emission
-                        l.store.insert(send_key(p.edge), framed);
+                        let stale = std::mem::replace(l.buf(p.buf), framed);
+                        l.recycle(stale);
                     } else if p.dynamic {
-                        frame_push(l, p.edge, &bytes);
+                        frame_push(l, p.buf, &bytes);
                     } else {
-                        queue_push(l, p.edge, &bytes);
+                        queue_push(l, p.buf, &bytes);
                     }
+                    l.recycle(bytes);
                 }
+                outputs.clear();
+                maps = (inputs, outputs);
                 cycles + overhead
             }),
         });
@@ -1757,10 +1841,9 @@ impl ProgramGen<'_> {
             if plan.ack_kept {
                 let ack_ch = plan.ack_ch.expect("ack channel");
                 for _ in 0..count {
-                    let edge = eid;
                     ops.push(Op::Send {
                         channel: ack_ch,
-                        payload: Box::new(move |_| (edge.0 as u16).to_le_bytes().to_vec()),
+                        payload: ack_payload(eid),
                     });
                 }
             }
@@ -1779,15 +1862,17 @@ impl ProgramGen<'_> {
                 ops.push(Op::Compute {
                     label: format!("spi:credit:{eid}"),
                     work: Box::new(move |l| {
-                        let _ = l.take_from(ack_ch);
+                        if let Some(Token::Owned(ack)) = l.take_token_from(ack_ch) {
+                            l.recycle(ack);
+                        }
                         1
                     }),
                 });
             }
-            let edge = eid;
+            let staged = index.sends[&eid];
             ops.push(Op::Send {
                 channel: plan.data_ch,
-                payload: Box::new(move |l| l.store.remove(&send_key(edge)).unwrap_or_default()),
+                payload: Box::new(move |l| std::mem::take(l.buf(staged))),
             });
         }
         Ok(())
@@ -1796,6 +1881,7 @@ impl ProgramGen<'_> {
 
 struct DecodeInfo {
     edge: EdgeId,
+    queue: usize,
     channel: ChannelId,
     count: u64,
     phase: SpiPhase,
@@ -1804,12 +1890,15 @@ struct DecodeInfo {
 
 struct ConsumeInfo {
     edge: EdgeId,
+    queue: usize,
     dynamic: bool,
     bytes: usize,
 }
 
 struct ProduceInfo {
     edge: EdgeId,
+    /// The edge's queue index, or its staged-send index when `cross`.
+    buf: usize,
     dynamic: bool,
     exact_bytes: usize,
     bound_bytes: usize,

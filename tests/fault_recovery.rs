@@ -268,3 +268,73 @@ fn trace_meta_supervised_declares_policy_budgets() {
     .expect("native roundtrip");
     assert_eq!(parsed.meta.supervision, Some(bounds));
 }
+
+/// A lowered system whose sink panics once, in iteration 3, on a
+/// cross-PE edge with `produce = consume = 2` and `delay = 1`: the
+/// delay token is primed into the sink's local edge queue, so every
+/// iteration boundary leaves one token there, and the restart must roll
+/// that queue back along with the rest of the PE's state. The actor's
+/// lock is poisoned by the panic and must still serve the replay.
+fn restart_replays_lowered_iteration(transport: TransportKind) {
+    use spi_repro::dataflow::SdfGraph;
+    use spi_repro::sched::ProcId;
+    use spi_repro::spi::{Firing, SpiSystemBuilder};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
+    let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
+    let mut g = SdfGraph::new();
+    let src = g.add_actor("src", 10);
+    let sink = g.add_actor("sink", 10);
+    let e = g.add_edge(src, sink, 2, 2, 1, 4).expect("edge");
+    let mut builder = SpiSystemBuilder::new(g);
+    builder.actor(src, move |f: &mut Firing| {
+        let first = 2 * f.iter as u32;
+        let mut out = first.to_le_bytes().to_vec();
+        out.extend_from_slice(&(first + 1).to_le_bytes());
+        f.set_output(e, out);
+        10
+    });
+    let seen: Arc<Mutex<Vec<(u64, u32, u32)>>> = Arc::default();
+    let log = Arc::clone(&seen);
+    let panicked = AtomicBool::new(false);
+    builder.actor(sink, move |f: &mut Firing| {
+        let input = f.input(e);
+        let pair = (word(input, 0), word(input, 1));
+        if f.iter == 3 && !panicked.swap(true, Ordering::SeqCst) {
+            panic!("injected sink panic in iteration 3");
+        }
+        log.lock().unwrap().push((f.iter, pair.0, pair.1));
+        10
+    });
+    builder.initial_tokens(e, vec![u32::MAX.to_le_bytes().to_vec()]);
+    builder.iterations(ITERATIONS);
+    let system = builder.build(2, |a| ProcId(a.0)).expect("system builds");
+    system
+        .run_threaded_with(
+            &ThreadedRunner::new()
+                .transport(transport)
+                .supervise(strict().with_restarts(1)),
+        )
+        .unwrap_or_else(|err| panic!("{transport:?}: one sink panic must restart: {err}"));
+    // Sink iteration i consumes stream tokens 2i and 2i+1 of
+    // [delay token, 0, 1, 2, ...].
+    let want: Vec<(u64, u32, u32)> = (0..ITERATIONS)
+        .map(|i| match i {
+            0 => (0, u32::MAX, 0),
+            _ => (i, 2 * i as u32 - 1, 2 * i as u32),
+        })
+        .collect();
+    assert_eq!(*seen.lock().unwrap(), want, "{transport:?}");
+}
+
+#[test]
+fn panicking_actor_restarts_and_rolls_back_its_edge_queue() {
+    for transport in [
+        TransportKind::Ring,
+        TransportKind::Pointer,
+        TransportKind::Locked,
+    ] {
+        restart_replays_lowered_iteration(transport);
+    }
+}
