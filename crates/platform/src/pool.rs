@@ -46,6 +46,11 @@ const IDX_BYTES: usize = 4;
 /// Shared pool state: the payload slab plus the free-index ring. Owned
 /// jointly by the pool handle and every outstanding lease, so a lease
 /// can outlive the transport that produced it.
+///
+/// Aligned to 128 bytes so the `Arc` counts in front of it sit in a
+/// block of their own: receive-side leases bump them, and every slot
+/// access reads the geometry below.
+#[repr(align(128))]
 pub(crate) struct PoolInner {
     slot_bytes: usize,
     slots: usize,
@@ -187,16 +192,43 @@ impl BufferPool {
     /// [`TransportError::Timeout`] when no slot frees up in time; the
     /// `idle` field reports how long no release has been observed.
     pub fn acquire(&self, timeout: Duration) -> Result<TokenBuf, TransportError> {
-        let mut slot = 0u32;
-        self.inner.free.recv_index(&mut slot, timeout)?;
+        let slot = self.acquire_slot(timeout)?.into_slot();
         Ok(self.lease(slot, 0, self.inner.slot_bytes as u32))
     }
 
     /// Non-blocking acquisition; `None` when the pool is exhausted.
     pub fn try_acquire(&self) -> Option<TokenBuf> {
+        let slot = self.try_acquire_slot()?.into_slot();
+        Some(self.lease(slot, 0, self.inner.slot_bytes as u32))
+    }
+
+    /// Blocking acquisition of a free slot as a [`SlotGuard`] that
+    /// borrows the pool (crate-internal: the pointer transport's send
+    /// path, which never lets the slot outlive the call and so needs no
+    /// `Arc` refcount traffic).
+    pub(crate) fn acquire_slot(&self, timeout: Duration) -> Result<SlotGuard<'_>, TransportError> {
+        let mut slot = 0u32;
+        self.inner.free.recv_index(&mut slot, timeout)?;
+        Ok(SlotGuard {
+            pool: &self.inner,
+            slot,
+        })
+    }
+
+    /// Non-blocking variant of [`BufferPool::acquire_slot`].
+    pub(crate) fn try_acquire_slot(&self) -> Option<SlotGuard<'_>> {
         let mut slot = 0u32;
         self.inner.free.try_recv_index(&mut slot).ok()?;
-        Some(self.lease(slot, 0, self.inner.slot_bytes as u32))
+        Some(SlotGuard {
+            pool: &self.inner,
+            slot,
+        })
+    }
+
+    /// Returns an owned slot index to the free list (crate-internal:
+    /// the transport's fallback when a descriptor cannot be published).
+    pub(crate) fn release(&self, slot: u32) {
+        self.inner.release(slot);
     }
 
     /// Wraps an owned slot index in a lease (crate-internal: the
@@ -218,6 +250,41 @@ impl BufferPool {
         let mut lease = lease;
         lease.detached = true;
         (lease.slot, lease.off, lease.len)
+    }
+}
+
+/// Exclusive ownership of one pool slot for the duration of a send:
+/// the producer frames the payload in place, then hands the index to
+/// the descriptor ring with [`SlotGuard::into_slot`]. Borrowing the
+/// pool instead of holding an `Arc` keeps the refcount off the send
+/// path; dropping the guard (e.g. when the framing closure panics)
+/// returns the slot.
+pub(crate) struct SlotGuard<'a> {
+    pool: &'a PoolInner,
+    slot: u32,
+}
+
+impl SlotGuard<'_> {
+    /// The first `len` bytes of the slot (`len ≤ slot_bytes`).
+    pub(crate) fn bytes_mut(&mut self, len: usize) -> &mut [u8] {
+        assert!(len <= self.pool.slot_bytes, "slot guard range");
+        // SAFETY: the guard owns the slot, `len` stays within it, and
+        // `&mut self` makes the borrow unique.
+        unsafe { self.pool.slice_mut(self.slot, 0, len as u32) }
+    }
+
+    /// Gives up the guard without releasing the slot; the caller takes
+    /// over its ownership.
+    pub(crate) fn into_slot(self) -> u32 {
+        let slot = self.slot;
+        std::mem::forget(self);
+        slot
+    }
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        self.pool.release(self.slot);
     }
 }
 
@@ -508,6 +575,27 @@ mod tests {
         assert_eq!(pool.available(), 0);
         drop(leases);
         assert_eq!(pool.available(), 3);
+    }
+
+    #[test]
+    fn refcount_sits_in_its_own_cache_block() {
+        let pool = BufferPool::new(4, 64);
+        let inner = &*pool.inner;
+        let data = Arc::as_ptr(&pool.inner) as usize;
+        // The `Arc` counts precede the data; their last byte is at
+        // `data - 1`.
+        let counts_block = (data - 1) / 128;
+        for field in [
+            &inner.slot_bytes as *const usize as usize,
+            &inner.slots as *const usize as usize,
+            &inner.slab as *const _ as usize,
+            &inner.free as *const _ as usize,
+        ] {
+            assert!(
+                field / 128 > counts_block,
+                "pool state at {field:#x} shares the refcount block before {data:#x}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::pool::{BufferPool, Token, TokenBuf};
+use crate::pool::{BufferPool, SlotGuard, Token, TokenBuf};
 use crate::shim;
 use crate::sim::ChannelSpec;
 
@@ -660,6 +660,20 @@ impl WaitList {
     }
 }
 
+/// Aligns and pads `T` to its own 128-byte block, so a word written by
+/// one side of a ring never shares a cache line with a word the other
+/// side writes or reads on every message. 128 rather than 64 bytes
+/// because Intel's adjacent-line prefetcher pulls lines in pairs.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A lock-free bounded ring of fixed-size packed-token slots.
 ///
 /// Layout: `slots × slot_bytes` of payload storage, a length word per
@@ -668,6 +682,13 @@ impl WaitList {
 /// storage allocation, so when the SPI builder sizes a channel to the
 /// eq. (2) bound `B(e)` with slot size `c(e)`, those numbers *are* the
 /// runtime buffer — no approximation layer in between.
+///
+/// Each hot shared word sits in its own [`CachePadded`] block: `tail`
+/// (written by producers), `head` (written by consumers) and the two
+/// wait lists, whose `waiting` word the opposite side loads after every
+/// publish or consume. The read-only geometry shares none of them, so
+/// in the SPSC steady state only slot state (`seq`, length, payload)
+/// changes hands.
 ///
 /// Designed for the single-producer / single-consumer topology of SPI's
 /// point-to-point edges; the sequence protocol keeps concurrent misuse
@@ -690,13 +711,13 @@ pub struct RingTransport {
     /// Slot payload storage, `slots × slot_bytes` contiguous bytes.
     buf: Box<[UnsafeCell<u8>]>,
     /// Next dequeue position.
-    head: shim::AtomicUsize,
+    head: CachePadded<shim::AtomicUsize>,
     /// Next enqueue position.
-    tail: shim::AtomicUsize,
+    tail: CachePadded<shim::AtomicUsize>,
     /// Consumers parked on an empty ring.
-    recv_waiters: WaitList,
+    recv_waiters: CachePadded<WaitList>,
     /// Producers parked on a full ring.
-    send_waiters: WaitList,
+    send_waiters: CachePadded<WaitList>,
 }
 
 // SAFETY: slot payload (`lens`, `buf`) is only accessed by the thread
@@ -737,10 +758,10 @@ impl RingTransport {
             seq,
             lens,
             buf,
-            head: shim::AtomicUsize::labeled(0, "head"),
-            tail: shim::AtomicUsize::labeled(0, "tail"),
-            recv_waiters: WaitList::new("recv_waiting", "recv_waitlist"),
-            send_waiters: WaitList::new("send_waiting", "send_waitlist"),
+            head: CachePadded(shim::AtomicUsize::labeled(0, "head")),
+            tail: CachePadded(shim::AtomicUsize::labeled(0, "tail")),
+            recv_waiters: CachePadded(WaitList::new("recv_waiting", "recv_waitlist")),
+            send_waiters: CachePadded(WaitList::new("send_waiting", "send_waitlist")),
         }
     }
 
@@ -752,8 +773,8 @@ impl RingTransport {
     #[cfg(feature = "verify-shim")]
     pub fn new_with_reverted_wakeup(capacity_bytes: usize, slot_bytes: usize) -> Self {
         let mut t = Self::new(capacity_bytes, slot_bytes);
-        t.recv_waiters.wake_dequeues = true;
-        t.send_waiters.wake_dequeues = true;
+        t.recv_waiters.0.wake_dequeues = true;
+        t.send_waiters.0.wake_dequeues = true;
         t
     }
 
@@ -1178,19 +1199,33 @@ impl PointerTransport {
         self.pool.slots()
     }
 
+    /// Moves an owned slot into the descriptor ring. Infallible by the
+    /// conservation argument on [`PointerTransport::ring`]; if that
+    /// invariant is ever broken the slot is returned to the pool rather
+    /// than leaked.
+    fn publish(&self, slot: u32, off: u32, len: u32) -> Result<(), TransportError> {
+        self.ring
+            .try_send(&encode_desc(slot, off, len))
+            .inspect_err(|_| self.pool.release(slot))
+    }
+
     /// Moves a same-pool lease's slot ownership into the descriptor
-    /// ring. Infallible by the conservation argument on
-    /// [`PointerTransport::ring`]; if that invariant is ever broken the
-    /// slot is returned to the pool rather than leaked.
+    /// ring.
     fn publish_lease(&self, lease: TokenBuf) -> Result<(), TransportError> {
         let (slot, off, len) = BufferPool::detach(lease);
-        match self.ring.try_send(&encode_desc(slot, off, len)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                drop(self.pool.lease(slot, 0, 0));
-                Err(e)
-            }
-        }
+        self.publish(slot, off, len)
+    }
+
+    /// Frames `max_len` bytes of an acquired slot in place and
+    /// publishes the `frame`d length.
+    fn frame_and_publish(
+        &self,
+        mut slot: SlotGuard<'_>,
+        max_len: usize,
+        frame: &mut dyn FnMut(&mut [u8]) -> usize,
+    ) -> Result<(), TransportError> {
+        let n = frame(slot.bytes_mut(max_len)).min(max_len);
+        self.publish(slot.into_slot(), 0, n as u32)
     }
 }
 
@@ -1212,12 +1247,11 @@ impl Transport for PointerTransport {
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
         fits(data.len(), self.pool.slot_bytes())?;
-        let Some(mut lease) = self.pool.try_acquire() else {
-            return Err(TransportError::Full);
-        };
-        lease[..data.len()].copy_from_slice(data);
-        lease.truncate(data.len());
-        self.publish_lease(lease)
+        let slot = self.pool.try_acquire_slot().ok_or(TransportError::Full)?;
+        self.frame_and_publish(slot, data.len(), &mut |buf| {
+            buf.copy_from_slice(data);
+            data.len()
+        })
     }
 
     fn send_with(
@@ -1243,10 +1277,8 @@ impl Transport for PointerTransport {
         timeout: Duration,
     ) -> Result<(), TransportError> {
         fits(max_len, self.pool.slot_bytes())?;
-        let mut lease = self.pool.acquire(timeout)?;
-        let n = frame(&mut lease[..max_len]).min(max_len);
-        lease.truncate(n);
-        self.publish_lease(lease)
+        let slot = self.pool.acquire_slot(timeout)?;
+        self.frame_and_publish(slot, max_len, frame)
     }
 
     fn send_token(&self, token: Token, timeout: Duration) -> Result<(), TransportError> {
@@ -1638,6 +1670,58 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(t.buffer_pool().available(), 8, "all slots back in the pool");
+    }
+
+    #[test]
+    fn pointer_send_in_place_returns_the_slot_when_framing_panics() {
+        let t = PointerTransport::new(2 * 8, 8);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = t.send_in_place(8, &mut |_| panic!("framing failed"), T);
+        }));
+        assert!(result.is_err());
+        assert_eq!(
+            t.buffer_pool().available(),
+            t.slots(),
+            "unwind returned the slot"
+        );
+        t.send(b"after", T).unwrap();
+        assert_eq!(t.recv(T).unwrap(), b"after");
+    }
+
+    /// The 128-byte blocks a value occupies.
+    fn blocks<V>(v: &V) -> std::ops::RangeInclusive<usize> {
+        let start = v as *const V as usize;
+        start / 128..=(start + std::mem::size_of::<V>() - 1) / 128
+    }
+
+    fn disjoint(a: &std::ops::RangeInclusive<usize>, b: &std::ops::RangeInclusive<usize>) -> bool {
+        a.end() < b.start() || b.end() < a.start()
+    }
+
+    #[test]
+    fn ring_sides_write_disjoint_cache_blocks() {
+        let r = RingTransport::new(64, 8);
+        let hot = [
+            blocks(&*r.head),
+            blocks(&*r.tail),
+            blocks(&*r.recv_waiters),
+            blocks(&*r.send_waiters),
+        ];
+        let geometry = [
+            blocks(&r.slot_bytes),
+            blocks(&r.slots),
+            blocks(&r.seq),
+            blocks(&r.lens),
+            blocks(&r.buf),
+        ];
+        for (i, a) in hot.iter().enumerate() {
+            for b in &hot[i + 1..] {
+                assert!(disjoint(a, b), "hot words share a block: {a:?} {b:?}");
+            }
+            for g in &geometry {
+                assert!(disjoint(a, g), "hot word {a:?} shares geometry block {g:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! frame in place, exchange the slot descriptor, decode borrowed —
 //! must touch the global allocator exactly zero times per message.
 //!
-//! This file holds a single `#[test]` on purpose: the counting
-//! allocator is per-binary, and a sibling test allocating concurrently
-//! would pollute the measurement window.
+//! The counting allocator counts only the allocations of a thread that
+//! has armed it, so the test harness's own threads (libtest's main
+//! thread allocates while it starts waiting on the test) cannot pollute
+//! the measurement window. The file still holds a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -15,27 +17,43 @@ use spi::{decode_static_borrowed, encode_static_into, static_frame_bytes, STATIC
 use spi_dataflow::EdgeId;
 use spi_platform::{PointerTransport, RingTransport, Token, Transport};
 
-/// Counts allocation calls; frees are uncounted (a steady state that
-/// allocates nothing frees nothing).
+/// Counts allocation calls made on armed threads; frees are uncounted
+/// (a steady state that allocates nothing frees nothing).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread is inside a measuring window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Counts allocations on the calling thread from now on.
+fn arm() {
+    ARMED.with(|a| a.set(true));
+}
 
 // The platform crate denies unsafe except in its two vetted modules;
 // this test binary needs it only to delegate to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -93,6 +111,7 @@ fn pointer_path_steady_state_allocates_nothing() {
         roundtrip_lease(&t, &payload);
     }
 
+    arm();
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..4096 {
         roundtrip_in_place(&t, &payload);
